@@ -40,7 +40,6 @@ from .orchestrator import (
     DoiCacheRecord,
     SoftwarePublication,
     build_source_archive,
-    link_depositions,
     publish_data,
     publish_software,
     version_tag,
@@ -127,7 +126,6 @@ __all__ = [
     "collect_datasources",
     "derive_metadata",
     "detect_version",
-    "link_depositions",
     "manifest_to_json",
     "parse_authors",
     "parse_project",

@@ -16,29 +16,23 @@ from __future__ import annotations
 
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import orchestrator
-from .config import CliConfig, load_config
-from .errors import (
-    AuthorsFormatError,
-    ConfigError,
-    GeopubError,
-    MissingFileError,
-    ParseError,
-    ProtocolError,
-)
-from .manifest import build_manifest, manifest_to_json
-from .orchestrator import DoiCache
-from .qgis_project import collect_datasources, parse_project
-from .repo_protocol import RepositoryClient
+from .config import load_config
+from .errors import AuthorsFormatError, ConfigError, GeopubError, MissingFileError, ParseError
+from .manifest import manifest_to_json
 
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_MISSING_FILES = 4
-EXIT_SERVICE = 5
+#: Exit code of each error family; the first family that matches wins.
+_EXIT_CODES = (
+    (ConfigError, 2),
+    ((ParseError, AuthorsFormatError, OSError), 3),
+    (MissingFileError, 4),
+    (GeopubError, 5),
+)
 
 
 def _configure_logging() -> None:
@@ -55,9 +49,15 @@ def _configure_logging() -> None:
     root.addHandler(handler)
 
 
-def _fail(code: int, error: Exception) -> None:
-    click.echo(f"error: {error}", err=True)
-    sys.exit(code)
+@contextmanager
+def _exit_codes():
+    """Report an error raised in the block on stderr and exit with the code
+    of its family in ``_EXIT_CODES``."""
+    try:
+        yield
+    except (GeopubError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(next(code for family, code in _EXIT_CODES if isinstance(exc, family)))
 
 
 @click.group()
@@ -108,14 +108,15 @@ def publish_data(
     description: str | None,
 ) -> None:
     """Publish a project's data files (and optionally its mesh)."""
-    config = _load_config()
-    profile = _select_profile(config, service_name)
-    try:
+    with _exit_codes():
+        profile = load_config().profile(service_name)
         if dry_run:
-            project = parse_project(project_path)
-            sources = collect_datasources(project)
-            manifest = build_manifest(
-                project, sources, mesh_path, title=title, description=description
+            manifest = orchestrator.plan_data(
+                project_path,
+                mesh_path,
+                title=title,
+                description=description,
+                related_software_doi=related_software_doi,
             )
             click.echo(manifest_to_json(manifest))
             return
@@ -128,15 +129,8 @@ def publish_data(
             description=description,
             related_software_doi=related_software_doi,
         )
-    except (ParseError, OSError) as exc:
-        _fail(EXIT_PARSE, exc)
-    except MissingFileError as exc:
-        _fail(EXIT_MISSING_FILES, exc)
-    except (ProtocolError, GeopubError) as exc:
-        _fail(EXIT_SERVICE, exc)
-    else:
-        click.echo(f"Publication ID: {result.publication_id}")
-        click.echo(f"DOI: {result.doi}")
+    click.echo(f"Publication ID: {result.publication_id}")
+    click.echo(f"DOI: {result.doi}")
 
 
 @publish.command("software")
@@ -160,50 +154,18 @@ def publish_software(
 ) -> None:
     """Publish a software source tree, reusing the DOI of an already
     published version when possible."""
-    config = _load_config()
-    profile = _select_profile(config, service_name)
-    try:
+    with _exit_codes():
+        config = load_config()
         outcome = orchestrator.publish_software(
-            profile,
+            config.profile(service_name),
             source_dir,
             private=private,
-            use_cache=not no_cache,
-            cache=DoiCache(config.cache_path),
-            client=RepositoryClient(profile),
+            cache=None if no_cache else orchestrator.DoiCache(config.cache_path),
         )
-    except (ParseError, AuthorsFormatError, OSError) as exc:
-        _fail(EXIT_PARSE, exc)
-    except MissingFileError as exc:
-        _fail(EXIT_MISSING_FILES, exc)
-    except (ProtocolError, GeopubError) as exc:
-        _fail(EXIT_SERVICE, exc)
-    else:
-        if outcome.version.dirty:
-            click.echo(
-                f"warning: source tree {outcome.version.source_dir} is dirty "
-                "(uncommitted changes); published anyway",
-                err=True,
-            )
-        if outcome.reused:
-            click.echo("Reusing existing publication.")
-        click.echo(f"Publication ID: {outcome.result.publication_id}")
-        click.echo(f"DOI: {outcome.result.doi}")
-
-
-def _load_config() -> CliConfig:
-    try:
-        return load_config()
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, exc)
-        raise AssertionError("unreachable")
-
-
-def _select_profile(config: CliConfig, service_name: str | None):
-    try:
-        return config.profile(service_name)
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, exc)
-        raise AssertionError("unreachable")
+    if outcome.reused:
+        click.echo("Reusing existing publication.")
+    click.echo(f"Publication ID: {outcome.result.publication_id}")
+    click.echo(f"DOI: {outcome.result.doi}")
 
 
 if __name__ == "__main__":

@@ -445,6 +445,10 @@ def _json_body(body: bytes):
 # Standalone HTTP server
 
 
+#: Seconds between the serve loop's shutdown checks, so ``stop()`` returns fast.
+_POLL_INTERVAL = 0.05
+
+
 class MockServer:
     """Serves a :class:`MockService` over HTTP on a background thread."""
 
@@ -464,13 +468,15 @@ class MockServer:
 
     def start(self) -> None:
         self._serving = True
-        thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(_POLL_INTERVAL,), daemon=True
+        )
         thread.start()
         self._thread = thread
 
     def serve_forever(self) -> None:
         self._serving = True
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(_POLL_INTERVAL)
 
     def stop(self) -> None:
         # shutdown() blocks forever unless the serve loop was entered.

@@ -1,7 +1,8 @@
 """The two publication flows: project data, and software source trees.
 
-Data publication: parse the project, resolve its datasources, build the
-checksummed manifest, then create / upload / publish against the backend.
+Data publication: :func:`plan_data` builds the checksummed manifest, link
+tag included, with no network traffic (the dry-run preview);
+:func:`publish_data` then creates, uploads and publishes it.
 
 Software publication: detect the exact source version, look for an existing
 publication of that version first (server-side search when the backend
@@ -13,13 +14,14 @@ archive so republishing an identical tree is reproducible.
 from __future__ import annotations
 
 import datetime as _dt
+import fcntl
 import json
 import logging
 import os
 import tarfile
 import tempfile
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .manifest import ManifestEntry, PublicationManifest, build_manifest, checks
 from .qgis_project import collect_datasources, parse_project
 from .repo_protocol import (
     BackendProfile,
+    Deposition,
     DepositionMeta,
     PublicationResult,
     RepositoryClient,
@@ -69,8 +72,10 @@ class SoftwarePublication:
 class DoiCache:
     """JSON-file-backed map from (backend, kind, version) to DOI.
 
-    Writes are atomic (temp file and rename) and guarded by a lock file; a
-    concurrent writer fails fast instead of corrupting the cache. A cache
+    Writes are atomic (temp file and rename) and guarded by an advisory
+    ``flock`` on a sibling ``.lock`` file; a concurrent writer fails fast
+    instead of corrupting the cache. The kernel drops the lock when its
+    holder exits, so a crashed run leaves nothing to clean up. A cache
     file that exists but cannot be parsed aborts the operation rather than
     being silently reset.
     """
@@ -99,23 +104,22 @@ class DoiCache:
         """Hold the cache's writer lock; a second holder fails fast."""
         lock_path = self.path.with_name(self.path.name + ".lock")
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        # The lock file is never removed: unlinking it would let a third run
+        # lock a fresh file while a second still holds the old one.
+        fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise CacheLockError(
                 f"cache {self.path} is locked by another run (lock file {lock_path})"
             ) from None
         self._held = True
         try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
             yield self
         finally:
             self._held = False
-            try:
-                os.unlink(lock_path)
-            except FileNotFoundError:
-                pass
+            os.close(fd)
 
     def _put_locked(self, record: DoiCacheRecord) -> None:
         records = [r for r in self._load() if r.key() != record.key()]
@@ -175,6 +179,34 @@ def versioned_id(version: SourceVersion) -> str:
     return version.id + ("-dirty" if version.dirty else "")
 
 
+def plan_data(
+    project_path: str | os.PathLike,
+    mesh_path: str | os.PathLike | None = None,
+    *,
+    title: str | None = None,
+    description: str | None = None,
+    related_software_doi: str | None = None,
+) -> PublicationManifest:
+    """The checksummed manifest :func:`publish_data` deposits: the project
+    file, every referenced data file with sidecars and the optional mesh,
+    tagged ``uses-software-doi:<doi>`` when a related software DOI is given.
+
+    Raises:
+        ValidationError: ``related_software_doi`` is given but blank.
+        MissingFileError: any referenced file is absent.
+    """
+    link_tags: tuple[str, ...] = ()
+    if related_software_doi is not None:
+        if not related_software_doi.strip():
+            raise ValidationError("software DOI must be non-empty")
+        link_tags = (f"uses-software-doi:{related_software_doi.strip()}",)
+    project = parse_project(project_path)
+    manifest = build_manifest(
+        project, collect_datasources(project), mesh_path, title=title, description=description
+    )
+    return replace(manifest, tags=manifest.tags + link_tags)
+
+
 def publish_data(
     profile: BackendProfile,
     project_path: str | os.PathLike,
@@ -186,25 +218,21 @@ def publish_data(
     related_software_doi: str | None = None,
     client: RepositoryClient | None = None,
 ) -> PublicationResult:
-    """Publish a project's complete provenance: project file, every referenced
-    data file with sidecars, and optionally the generated mesh.
+    """Publish a project's complete provenance, as planned by
+    :func:`plan_data`.
 
     All files are checksummed before any network traffic. On an upload
     failure the draft deposition is abandoned (its id is logged for manual
     cleanup) and the error propagates.
     """
-    project = parse_project(project_path)
-    sources = collect_datasources(project)
-    manifest = build_manifest(
-        project, sources, mesh_path, title=title, description=description
-    )
-    client = client or RepositoryClient(profile)
-    return _deposit(
-        client,
-        manifest,
-        private=private,
+    manifest = plan_data(
+        project_path,
+        mesh_path,
+        title=title,
+        description=description,
         related_software_doi=related_software_doi,
     )
+    return _deposit(client or RepositoryClient(profile), manifest, private=private)
 
 
 def publish_software(
@@ -212,7 +240,6 @@ def publish_software(
     source_dir: str | os.PathLike,
     *,
     private: bool = False,
-    use_cache: bool = True,
     cache: DoiCache | None = None,
     client: RepositoryClient | None = None,
 ) -> SoftwarePublication:
@@ -220,9 +247,10 @@ def publish_software(
     exact version was published before.
 
     Lookup order: server-side tag search when the backend supports it, else
-    the local DOI cache (when enabled). Without either, every run creates a
-    new deposition. Dirty working trees are publishable; their version tag
-    carries a ``-dirty`` suffix and a warning is emitted.
+    the local DOI cache (when one is given). Without either, every run
+    creates a new deposition. A given cache is locked for the whole run.
+    Dirty working trees are publishable; their version tag carries a
+    ``-dirty`` suffix and a warning is emitted.
     """
     version = detect_version(source_dir)
     if version.dirty:
@@ -230,103 +258,83 @@ def publish_software(
             "working tree %s is dirty (uncommitted changes); publishing anyway",
             version.source_dir,
         )
-    caching = use_cache and cache is not None
-    if caching:
-        with cache.lock():
-            return _publish_software_locked(
-                profile, version, private=private, cache=cache, client=client
-            )
-    return _publish_software_locked(profile, version, private=private, cache=None, client=client)
-
-
-def _publish_software_locked(
-    profile: BackendProfile,
-    version: SourceVersion,
-    *,
-    private: bool,
-    cache: DoiCache | None,
-    client: RepositoryClient | None,
-) -> SoftwarePublication:
     client = client or RepositoryClient(profile)
     tag = version_tag(version)
     vid = versioned_id(version)
 
-    if profile.can_search:
-        hits = client.search_by_tag(tag)
-        if hits:
-            deposition = client.get_deposition(hits[0].id)
-            logger.info("version already published as %s; reusing", deposition.doi)
+    with cache.lock() if cache is not None else nullcontext():
+        deposition = _find_published(profile, client, cache, tag, vid)
+        if deposition is not None:
             return SoftwarePublication(
                 result=PublicationResult(deposition.id, deposition.doi, deposition.doi_active),
                 version=version,
                 reused=True,
             )
-    elif cache is not None:
-        record = cache.get(profile.name, ArtifactKind.SOFTWARE, vid)
-        if record is not None:
-            try:
-                deposition = client.get_deposition(record.publication_id)
-            except NotFoundError:
-                logger.warning(
-                    "cached publication %d no longer exists on %s; republishing",
-                    record.publication_id,
-                    profile.name,
-                )
-            else:
-                logger.info("version found in DOI cache as %s; reusing", record.doi)
-                return SoftwarePublication(
-                    result=PublicationResult(deposition.id, deposition.doi, deposition.doi_active),
-                    version=version,
-                    reused=True,
-                )
 
-    source_dir = version.source_dir
-    authors = parse_authors(source_dir)
-    with tempfile.TemporaryDirectory(prefix="geopub-archive-") as scratch:
-        archive = build_source_archive(source_dir, Path(scratch), version.id)
-        entry = ManifestEntry(
-            path=archive,
-            name=archive.name,
-            size=archive.stat().st_size,
-            sha256=checksum_file(archive),
-        )
-        manifest = PublicationManifest(
-            entries=(entry,),
-            title=f"{source_dir.name} source ({vid[:12]})",
-            description=f"Source tree of {source_dir.name} at version {vid}.",
-            tags=(tag, source_dir.name.lower()),
-            authors=tuple(authors),
-            total_size=entry.size,
-        )
-        result = _deposit(client, manifest, private=private)
-
-    if cache is not None:
-        cache.put(
-            DoiCacheRecord(
-                backend_name=profile.name,
-                artifact_kind=ArtifactKind.SOFTWARE,
-                version_id=vid,
-                publication_id=result.publication_id,
-                doi=result.doi,
-                created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+        source_dir = version.source_dir
+        authors = parse_authors(source_dir)
+        with tempfile.TemporaryDirectory(prefix="geopub-archive-") as scratch:
+            archive = build_source_archive(source_dir, Path(scratch), version.id)
+            entry = ManifestEntry(
+                path=archive,
+                name=archive.name,
+                size=archive.stat().st_size,
+                sha256=checksum_file(archive),
             )
-        )
+            manifest = PublicationManifest(
+                entries=(entry,),
+                title=f"{source_dir.name} source ({vid[:12]})",
+                description=f"Source tree of {source_dir.name} at version {vid}.",
+                tags=(tag, source_dir.name.lower()),
+                authors=tuple(authors),
+                total_size=entry.size,
+            )
+            result = _deposit(client, manifest, private=private)
+
+        if cache is not None:
+            cache.put(
+                DoiCacheRecord(
+                    backend_name=profile.name,
+                    artifact_kind=ArtifactKind.SOFTWARE,
+                    version_id=vid,
+                    publication_id=result.publication_id,
+                    doi=result.doi,
+                    created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+                )
+            )
     return SoftwarePublication(result=result, version=version, reused=False)
 
 
-def link_depositions(
+def _find_published(
     profile: BackendProfile,
-    data_deposition_id: int,
-    software_doi: str,
-    *,
-    client: RepositoryClient | None = None,
-) -> None:
-    """Tag a draft data deposition with the DOI of the software that produced
-    it (``uses-software-doi:<doi>``)."""
-    if not software_doi or not software_doi.strip():
-        raise ValidationError("software DOI must be non-empty")
-    client = client or RepositoryClient(profile)
-    client.append_tag(data_deposition_id, f"uses-software-doi:{software_doi.strip()}")
+    client: RepositoryClient,
+    cache: DoiCache | None,
+    tag: str,
+    vid: str,
+) -> Deposition | None:
+    """The existing publication of a software version: found by tag search
+    when the backend supports it, else through the DOI cache, if any."""
+    if profile.can_search:
+        hits = client.search_by_tag(tag)
+        if not hits:
+            return None
+        deposition = client.get_deposition(hits[0].id)
+        logger.info("version already published as %s; reusing", deposition.doi)
+        return deposition
+    record = cache.get(profile.name, ArtifactKind.SOFTWARE, vid) if cache is not None else None
+    if record is None:
+        return None
+    try:
+        deposition = client.get_deposition(record.publication_id)
+    except NotFoundError:
+        logger.warning(
+            "cached publication %d no longer exists on %s; republishing",
+            record.publication_id,
+            profile.name,
+        )
+        return None
+    logger.info("version found in DOI cache as %s; reusing", record.doi)
+    return deposition
 
 
 def build_source_archive(source_dir: Path, dest_dir: Path, version_id: str) -> Path:
@@ -357,7 +365,6 @@ def _deposit(
     manifest: PublicationManifest,
     *,
     private: bool,
-    related_software_doi: str | None = None,
 ) -> PublicationResult:
     """Create, upload everything, publish. The draft is abandoned on upload
     failure and its id logged for manual cleanup."""
@@ -374,10 +381,6 @@ def _deposit(
         deposition.doi,
         len(manifest.entries),
     )
-    if related_software_doi is not None:
-        link_depositions(
-            client.profile, deposition.id, related_software_doi, client=client
-        )
     try:
         for entry in manifest.entries:
             with open(entry.path, "rb") as handle:

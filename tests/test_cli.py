@@ -87,6 +87,8 @@ class TestPublishDataCommand:
                 str(orkney.project),
                 "--mesh",
                 str(orkney.mesh),
+                "--related-software-doi",
+                "10.5072/geopub.42",
                 "--dry-run",
             ],
             env=env,
@@ -95,6 +97,7 @@ class TestPublishDataCommand:
         document = json.loads(result.stdout)
         assert set(document) == {"title", "tags", "entries", "total_size"}
         assert len(document["entries"]) == 7
+        assert "uses-software-doi:10.5072/geopub.42" in document["tags"]
         assert backend.service.request_count == 0
 
     def test_nonexistent_project_exits_3(self, runner, backend, tmp_path):

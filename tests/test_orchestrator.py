@@ -4,11 +4,13 @@ import json
 import logging
 import os
 import subprocess
+import sys
 import tarfile
 from pathlib import Path
 
 import pytest
 
+import geopub
 from geopub.errors import (
     CacheCorruptError,
     CacheLockError,
@@ -23,7 +25,7 @@ from geopub.orchestrator import (
     DoiCache,
     DoiCacheRecord,
     build_source_archive,
-    link_depositions,
+    plan_data,
     publish_data,
     publish_software,
     version_tag,
@@ -107,45 +109,20 @@ class TestPublishData:
         )
         record = backend.service.deposition_record(result.publication_id)
         assert "uses-software-doi:10.5072/geopub.77" in record["tags"]
+        # The tag travels in the create request: create, uploads, publish.
+        manifest = plan_data(orkney.project)
+        assert backend.service.request_count == len(manifest.entries) + 2
 
-
-class TestLinkDepositions:
-    def test_link_then_publish(self, orkney, backend):
-        client = backend.client()
-        from geopub.repo_protocol import DepositionMeta
-
-        deposition = client.create_deposition(DepositionMeta(title="T"))
-        link_depositions(backend.profile, deposition.id, "10.5072/geopub.5", client=client)
-        client.upload_file(
-            deposition.id,
-            _entry(b"x", "x.bin"),
-            b"x",
-        )
-        client.publish_deposition(deposition.id)
-        record = backend.service.deposition_record(deposition.id)
-        assert "uses-software-doi:10.5072/geopub.5" in record["tags"]
-
-    def test_link_after_publish_rejected(self, orkney, backend):
-        client = backend.client()
-        result = publish_data(backend.profile, orkney.project, client=client)
+    def test_blank_related_software_doi_rejected_before_any_request(self, orkney, backend):
         with pytest.raises(ValidationError):
-            link_depositions(
-                backend.profile, result.publication_id, "10.5072/geopub.5", client=client
+            publish_data(
+                backend.profile,
+                orkney.project,
+                related_software_doi="   ",
+                client=backend.client(),
             )
-
-    def test_empty_doi_rejected(self, backend):
-        with pytest.raises(ValidationError):
-            link_depositions(backend.profile, 1, "   ", client=backend.client())
-
-
-def _entry(content: bytes, name: str):
-    import hashlib
-
-    from geopub.manifest import ManifestEntry
-
-    return ManifestEntry(
-        path=None, name=name, size=len(content), sha256=hashlib.sha256(content).hexdigest()
-    )
+        assert backend.service.request_count == 0
+        assert backend.service.deposition_count() == 0
 
 
 class TestPublishSoftware:
@@ -160,10 +137,10 @@ class TestPublishSoftware:
     def test_two_publications_without_search_or_cache(self, source_tree, make_backend):
         backend = make_backend(ServiceConfig.zenodo_like())
         first = publish_software(
-            backend.profile, source_tree, use_cache=False, client=backend.client()
+            backend.profile, source_tree, client=backend.client()
         )
         second = publish_software(
-            backend.profile, source_tree, use_cache=False, client=backend.client()
+            backend.profile, source_tree, client=backend.client()
         )
         assert backend.service.deposition_count() == 2
         assert first.result.doi != second.result.doi
@@ -296,6 +273,29 @@ class TestDoiCache:
             pass
         with cache.lock():
             pass
+
+    def test_lock_freed_when_holder_crashes(self, source_tree, make_backend, cache):
+        # A child process takes the lock and dies without leaving the block.
+        holder = (
+            "import os, sys\n"
+            "from geopub.orchestrator import DoiCache\n"
+            "with DoiCache(sys.argv[1]).lock():\n"
+            "    os._exit(17)\n"
+        )
+        package_root = Path(geopub.__file__).resolve().parents[1]
+        path = [str(package_root), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        child = subprocess.run(
+            [sys.executable, "-c", holder, str(cache.path)], env=env, timeout=60
+        )
+        assert child.returncode == 17
+
+        backend = make_backend(ServiceConfig.zenodo_like())
+        outcome = publish_software(
+            backend.profile, source_tree, cache=cache, client=backend.client()
+        )
+        assert outcome.reused is False
+        assert cache.get(backend.profile.name, ArtifactKind.SOFTWARE, outcome.version.id)
 
 
 def _git(repo: Path, *args: str) -> None:
