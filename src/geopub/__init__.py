@@ -33,9 +33,7 @@ from .manifest import (
     derive_metadata,
     manifest_to_json,
 )
-from .mock_service import Fault, FaultKind, MockServer, MockService, ServiceConfig
 from .orchestrator import (
-    ArtifactKind,
     DoiCache,
     DoiCacheRecord,
     SoftwarePublication,
@@ -70,14 +68,12 @@ from .vcs_info import (
     VersionKind,
     detect_version,
     parse_authors,
-    render_authors,
     tree_hash,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtifactKind",
     "AuthError",
     "AuthorRef",
     "AuthorsFormatError",
@@ -95,14 +91,10 @@ __all__ = [
     "DepositionSummary",
     "DoiCache",
     "DoiCacheRecord",
-    "Fault",
-    "FaultKind",
     "GeopubError",
     "LayerEntry",
     "ManifestEntry",
     "MissingFileError",
-    "MockServer",
-    "MockService",
     "NetworkError",
     "NonFileSource",
     "NotFoundError",
@@ -114,7 +106,6 @@ __all__ = [
     "QuotaError",
     "RemoteFile",
     "RepositoryClient",
-    "ServiceConfig",
     "SoftwarePublication",
     "SourceKind",
     "SourceVersion",
@@ -131,7 +122,6 @@ __all__ = [
     "parse_project",
     "publish_data",
     "publish_software",
-    "render_authors",
     "resolve_datasource",
     "tree_hash",
     "version_tag",

@@ -35,9 +35,6 @@ from typing import Mapping
 from .errors import ConfigError
 from .repo_protocol import BackendProfile
 
-#: Profile names with a fixed search capability.
-RESERVED_CAPABILITIES = {"figshare-like": True, "zenodo-like": False}
-
 _TOP_LEVEL_KEYS = {"default_profile", "cache_path"}
 _PROFILE_KEYS = {"base_url", "can_search", "token"}
 
@@ -150,34 +147,23 @@ def _merged_profile(
     existing: BackendProfile | None,
     fields: dict,
 ) -> BackendProfile:
-    if existing is None:
-        if "base_url" not in fields:
-            raise ConfigError(
-                f"{config_file}: profile {name!r} needs a base_url (new profiles "
-                "have no default)"
-            )
-        existing = BackendProfile(
-            name=name,
-            base_url=fields["base_url"],
-            can_search=bool(fields.get("can_search", False)),
-            auth_token="",
+    updates = {("auth_token" if key == "token" else key): value for key, value in fields.items()}
+    if existing is not None:
+        return dataclasses.replace(existing, **updates)
+    if "base_url" not in fields:
+        raise ConfigError(
+            f"{config_file}: profile {name!r} needs a base_url (new profiles "
+            "have no default)"
         )
-    updates = {}
-    if "base_url" in fields:
-        updates["base_url"] = fields["base_url"]
-    if "can_search" in fields:
-        updates["can_search"] = fields["can_search"]
-    if "token" in fields:
-        updates["auth_token"] = fields["token"]
-    return dataclasses.replace(existing, **updates) if updates else existing
+    return BackendProfile(name=name, **{"can_search": False, **updates})
 
 
 def _check_reserved_capabilities(profiles: dict[str, BackendProfile]) -> None:
-    for name, fixed in RESERVED_CAPABILITIES.items():
-        profile = profiles.get(name)
-        if profile is not None and profile.can_search != fixed:
+    """The built-in profiles keep their built-in search capability."""
+    for name, builtin in default_profiles().items():
+        if profiles[name].can_search != builtin.can_search:
             raise ConfigError(
-                f"profile {name!r} must have can_search = {str(fixed).lower()}"
+                f"profile {name!r} must have can_search = {str(builtin.can_search).lower()}"
             )
 
 

@@ -81,10 +81,8 @@ def build_manifest(
     sources: Sequence[DataSourceRef],
     mesh_path: str | os.PathLike | None = None,
     *,
-    authors: Sequence[AuthorRef] = (),
     title: str | None = None,
     description: str | None = None,
-    max_workers: int | None = None,
 ) -> PublicationManifest:
     """Build the checksummed manifest for a project and its datasources.
 
@@ -93,9 +91,8 @@ def build_manifest(
     disambiguated with parent-directory prefixes. ``title`` and
     ``description`` override the derived defaults when given.
 
-    Per-file hashing runs on a bounded worker pool (``max_workers`` defaults
-    to the processor count); the entry order is deterministic regardless of
-    completion order.
+    Per-file hashing runs on a worker pool of one thread per processor; the
+    entry order is deterministic regardless of completion order.
 
     Raises:
         MissingFileError: any referenced file is absent; lists every missing
@@ -127,8 +124,7 @@ def build_manifest(
         logger.warning("mesh file %s does not start with %s", mesh, MESH_HEADER.decode())
 
     names = _unique_names(unique)
-    workers = max_workers or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         digests = list(pool.map(checksum_file, unique))
 
     entries = tuple(
@@ -144,7 +140,7 @@ def build_manifest(
         if description is not None
         else f"Files of QGIS project {project.path.name} ({len(entries)} files in total).",
         tags=tuple(derived_tags),
-        authors=tuple(authors),
+        authors=(),
         total_size=sum(entry.size for entry in entries),
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
 
 import click
@@ -61,12 +61,6 @@ class Fault:
     @classmethod
     def slow_start(cls, delay_ms: int) -> "Fault":
         return cls(FaultKind.SLOW_START, delay_ms=delay_ms)
-
-
-#: Endpoint matcher: an operation name ("create", "upload", "publish",
-#: "make_public", "search", "get", "collaborators", "tags"), "*" for all, or
-#: a predicate over (method, path).
-EndpointMatcher = str | Callable[[str, str], bool]
 
 
 @dataclass
@@ -159,7 +153,7 @@ class MockService:
         self._lock = threading.Lock()
         self._depositions: dict[int, _DepositionRecord] = {}
         self._next_id = 1
-        self._faults: list[tuple[Fault, EndpointMatcher]] = []
+        self._faults: list[tuple[Fault, str]] = []
 
     # -- wiring
 
@@ -181,8 +175,10 @@ class MockService:
                 raise KeyError(deposition_id)
             return record.public_document()
 
-    def inject_fault(self, fault: Fault, on: EndpointMatcher = "*") -> None:
-        """Make matching requests exhibit ``fault`` until faults are cleared."""
+    def inject_fault(self, fault: Fault, on: str = "*") -> None:
+        """Make requests to the operation ``on`` ("create", "upload",
+        "publish", "make_public", "search", "get", "collaborators", "tags",
+        or "*" for all) exhibit ``fault`` until faults are cleared."""
         with self._lock:
             self._faults.append((fault, on))
 
@@ -222,7 +218,7 @@ class MockService:
 
         with self._lock:
             self.request_count += 1
-            fault = self._matching_fault(op, method, parts.path)
+            fault = next((f for f, on in self._faults if on in ("*", op)), None)
 
         if fault is not None:
             if fault.kind is FaultKind.SLOW_START:
@@ -403,15 +399,6 @@ class MockService:
             return None, None
         op = _SUBRESOURCE_OPS.get(subresource)
         return (op, deposition_id) if op else (None, None)
-
-    def _matching_fault(self, op: str | None, method: str, path: str) -> Fault | None:
-        for fault, matcher in self._faults:
-            if callable(matcher):
-                if matcher(method, path):
-                    return fault
-            elif matcher == "*" or matcher == op:
-                return fault
-        return None
 
     def _authorized(self, headers: Mapping[str, str]) -> bool:
         value = _header(headers, "Authorization") or ""

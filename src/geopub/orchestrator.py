@@ -22,7 +22,6 @@ import tarfile
 import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 
 from .errors import CacheCorruptError, CacheLockError, NotFoundError, ProtocolError, ValidationError
@@ -32,6 +31,7 @@ from .repo_protocol import (
     BackendProfile,
     Deposition,
     DepositionMeta,
+    DepositionState,
     PublicationResult,
     RepositoryClient,
 )
@@ -39,10 +39,9 @@ from .vcs_info import SourceVersion, detect_version, iter_source_files, parse_au
 
 logger = logging.getLogger(__name__)
 
-
-class ArtifactKind(Enum):
-    SOFTWARE = "software"
-    DATA = "data"
+#: The ``artifact_kind`` of every DOI cache record: only software versions
+#: are cached.
+_ARTIFACT_KIND = "software"
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,13 @@ class DoiCacheRecord:
     """Persisted mapping from a published version to its identifiers."""
 
     backend_name: str
-    artifact_kind: ArtifactKind
     version_id: str
     publication_id: int
     doi: str
     created_at: str
 
-    def key(self) -> tuple[str, str, str]:
-        return (self.backend_name, self.artifact_kind.value, self.version_id)
+    def key(self) -> tuple[str, str]:
+        return (self.backend_name, self.version_id)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class SoftwarePublication:
 
 
 class DoiCache:
-    """JSON-file-backed map from (backend, kind, version) to DOI.
+    """JSON-file-backed map from (backend, software version) to DOI.
 
     Writes are atomic (temp file and rename) and guarded by an advisory
     ``flock`` on a sibling ``.lock`` file; a concurrent writer fails fast
@@ -84,8 +82,8 @@ class DoiCache:
         self.path = Path(path)
         self._held = False
 
-    def get(self, backend_name: str, kind: ArtifactKind, version_id: str) -> DoiCacheRecord | None:
-        wanted = (backend_name, kind.value, version_id)
+    def get(self, backend_name: str, version_id: str) -> DoiCacheRecord | None:
+        wanted = (backend_name, version_id)
         for record in self._load():
             if record.key() == wanted:
                 return record
@@ -128,7 +126,7 @@ class DoiCache:
             "records": [
                 {
                     "backend_name": r.backend_name,
-                    "artifact_kind": r.artifact_kind.value,
+                    "artifact_kind": _ARTIFACT_KIND,
                     "version_id": r.version_id,
                     "publication_id": r.publication_id,
                     "doi": r.doi,
@@ -155,10 +153,11 @@ class DoiCache:
             return []
         try:
             document = json.loads(self.path.read_text(encoding="utf-8"))
+            if any(raw["artifact_kind"] != _ARTIFACT_KIND for raw in document["records"]):
+                raise ValueError(f"a record's artifact_kind is not {_ARTIFACT_KIND!r}")
             return [
                 DoiCacheRecord(
                     backend_name=raw["backend_name"],
-                    artifact_kind=ArtifactKind(raw["artifact_kind"]),
                     version_id=raw["version_id"],
                     publication_id=int(raw["publication_id"]),
                     doi=raw["doi"],
@@ -248,9 +247,10 @@ def publish_software(
 
     Lookup order: server-side tag search when the backend supports it, else
     the local DOI cache (when one is given). Without either, every run
-    creates a new deposition. A given cache is locked for the whole run.
-    Dirty working trees are publishable; their version tag carries a
-    ``-dirty`` suffix and a warning is emitted.
+    creates a new deposition. A public run that finds a private publication
+    of the version makes it public, so the returned DOI is active. A given
+    cache is locked for the whole run. Dirty working trees are publishable;
+    their version tag carries a ``-dirty`` suffix and a warning is emitted.
     """
     version = detect_version(source_dir)
     if version.dirty:
@@ -265,11 +265,12 @@ def publish_software(
     with cache.lock() if cache is not None else nullcontext():
         deposition = _find_published(profile, client, cache, tag, vid)
         if deposition is not None:
-            return SoftwarePublication(
-                result=PublicationResult(deposition.id, deposition.doi, deposition.doi_active),
-                version=version,
-                reused=True,
-            )
+            if not private and deposition.state is DepositionState.PRIVATE:
+                logger.info("making private publication %d public", deposition.id)
+                result = client.make_public(deposition.id)
+            else:
+                result = PublicationResult(deposition.id, deposition.doi, deposition.doi_active)
+            return SoftwarePublication(result=result, version=version, reused=True)
 
         source_dir = version.source_dir
         authors = parse_authors(source_dir)
@@ -295,7 +296,6 @@ def publish_software(
             cache.put(
                 DoiCacheRecord(
                     backend_name=profile.name,
-                    artifact_kind=ArtifactKind.SOFTWARE,
                     version_id=vid,
                     publication_id=result.publication_id,
                     doi=result.doi,
@@ -321,7 +321,7 @@ def _find_published(
         deposition = client.get_deposition(hits[0].id)
         logger.info("version already published as %s; reusing", deposition.doi)
         return deposition
-    record = cache.get(profile.name, ArtifactKind.SOFTWARE, vid) if cache is not None else None
+    record = cache.get(profile.name, vid) if cache is not None else None
     if record is None:
         return None
     try:

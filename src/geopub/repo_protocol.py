@@ -7,14 +7,15 @@ service supports searching existing depositions). Transports are pluggable:
 directly to an in-process service registered under NAME, with no sockets
 involved.
 
-Endpoints, one client operation per protocol request:
+Endpoints, each a client operation unless noted:
 
     POST {base}/api/v1/depositions                      create draft
     POST {base}/api/v1/depositions/{id}/files           upload one file
     POST {base}/api/v1/depositions/{id}/actions/publish publish draft
     POST {base}/api/v1/depositions/{id}/actions/make_public
     POST {base}/api/v1/depositions/{id}/collaborators
-    POST {base}/api/v1/depositions/{id}/tags            append one tag (draft only)
+    POST {base}/api/v1/depositions/{id}/tags            append one tag (draft only;
+                                                        no client operation)
     GET  {base}/api/v1/depositions?tag=...              search (capability-gated)
     GET  {base}/api/v1/depositions/{id}                 fetch full deposition
 
@@ -52,6 +53,8 @@ logger = logging.getLogger(__name__)
 GET_RETRIES = 3
 #: First backoff delay between GET retries, doubled each time.
 RETRY_BACKOFF_SECONDS = 0.25
+#: Seconds an HTTP request may wait for the connection or for response bytes.
+HTTP_TIMEOUT_SECONDS = 30.0
 
 
 class DepositionState(Enum):
@@ -172,16 +175,15 @@ def unregister_inprocess_handler(name: str) -> None:
 class HttpTransport:
     """Real HTTP transport on a shared :class:`requests.Session`."""
 
-    def __init__(self, session: requests.Session | None = None, timeout: float = 30.0):
-        self._session = session or requests.Session()
-        self._timeout = timeout
+    def __init__(self):
+        self._session = requests.Session()
 
     def request(
         self, method: str, url: str, headers: Mapping[str, str], body: bytes | IO[bytes] | None
     ) -> TransportResponse:
         try:
             response = self._session.request(
-                method, url, headers=dict(headers), data=body, timeout=self._timeout
+                method, url, headers=dict(headers), data=body, timeout=HTTP_TIMEOUT_SECONDS
             )
         except requests.RequestException as exc:
             raise NetworkError(f"{method} {url}: {exc}") from exc
@@ -244,15 +246,9 @@ class RepositoryClient:
     state-changing requests are never auto-retried.
     """
 
-    def __init__(
-        self,
-        profile: BackendProfile,
-        transport=None,
-        *,
-        retry_backoff: float = RETRY_BACKOFF_SECONDS,
-    ):
+    def __init__(self, profile: BackendProfile, *, retry_backoff: float = RETRY_BACKOFF_SECONDS):
         self.profile = profile
-        self.transport = transport if transport is not None else transport_for(profile.base_url)
+        self.transport = transport_for(profile.base_url)
         self._retry_backoff = retry_backoff
 
     # -- operations
@@ -407,18 +403,6 @@ class RepositoryClient:
             200,
         )
         return document["count"]
-
-    def append_tag(self, deposition_id: int, tag: str) -> list[str]:
-        """Append a tag to a draft deposition; returns the updated tag list."""
-        document = self._expect(
-            self._request(
-                "POST",
-                f"/api/v1/depositions/{deposition_id}/tags",
-                json_body={"tag": tag},
-            ),
-            200,
-        )
-        return list(document["tags"])
 
     # -- plumbing
 

@@ -64,14 +64,10 @@ def detect_version(source_dir: str | os.PathLike) -> SourceVersion:
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
 
-    head = _git_head_commit(directory)
-    if head is not None:
-        return SourceVersion(
-            kind=VersionKind.COMMIT,
-            id=head,
-            dirty=_git_is_dirty(directory),
-            source_dir=directory,
-        )
+    git = _git_status(directory)
+    if git is not None:
+        head, dirty = git
+        return SourceVersion(kind=VersionKind.COMMIT, id=head, dirty=dirty, source_dir=directory)
     return SourceVersion(
         kind=VersionKind.TREE_HASH,
         id=tree_hash(directory),
@@ -157,25 +153,14 @@ def parse_authors(source_dir: str | os.PathLike) -> list[AuthorRef]:
     return authors
 
 
-def render_authors(authors: list[AuthorRef]) -> str:
-    """Format authors back into the AUTHORS file syntax.
-
-    Inverse of :func:`parse_authors` for valid inputs.
-    """
-    lines = []
-    for author in authors:
-        parts = [f"{author.name} <{author.email}>"]
-        parts.extend(f"{service}:{value}" for service, value in author.service_ids.items())
-        lines.append(" ".join(parts))
-    return "".join(line + "\n" for line in lines)
-
-
-def _git_head_commit(directory: Path) -> str | None:
-    # Returns None when git is unavailable, the directory is not inside a
-    # working tree, or the repository has no commits yet.
+def _git_status(directory: Path) -> tuple[str, bool] | None:
+    """The head commit and whether tracked files differ from it, from one git
+    process; None when git is unavailable, the directory is not inside a
+    working tree, or the repository has no commits yet."""
     try:
         result = subprocess.run(
-            ["git", "-C", str(directory), "rev-parse", "HEAD"],
+            ["git", "-C", str(directory), "status", "--porcelain=v2", "--branch",
+             "--untracked-files=no"],
             capture_output=True,
             text=True,
         )
@@ -184,14 +169,13 @@ def _git_head_commit(directory: Path) -> str | None:
         return None
     if result.returncode != 0:
         return None
-    commit = result.stdout.strip()
-    return commit or None
-
-
-def _git_is_dirty(directory: Path) -> bool:
-    result = subprocess.run(
-        ["git", "-C", str(directory), "status", "--porcelain", "--untracked-files=no"],
-        capture_output=True,
-        text=True,
-    )
-    return bool(result.stdout.strip())
+    head = None
+    dirty = False
+    for line in result.stdout.splitlines():
+        if line.startswith("# branch.oid "):
+            head = line.removeprefix("# branch.oid ")
+        elif not line.startswith("#"):
+            dirty = True
+    if head is None or head == "(initial)":
+        return None
+    return head, dirty

@@ -243,7 +243,13 @@ def test_3_private_doi_lifecycle(runner, orkney, backend, make_backend, tmp_path
                 elif action == "collab":
                     client.add_collaborator(deposition.id, f"c{rng.randrange(5)}")
                 elif action == "tag":
-                    client.append_tag(deposition.id, f"extra{rng.randrange(5)}")
+                    # No client operation appends a tag; send the raw request.
+                    driver.service.handle_request(
+                        "POST",
+                        f"/api/v1/depositions/{deposition.id}/tags",
+                        {"Authorization": "token test-token"},
+                        json.dumps({"tag": f"extra{rng.randrange(5)}"}).encode(),
+                    )
             except ProtocolError:
                 pass
             record = driver.service.deposition_record(deposition.id)

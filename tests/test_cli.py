@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from click.testing import CliRunner
 
 from conftest import Backend
 
+import geopub
 from geopub.cli import main
 from geopub.config import token_env_var
 from geopub.mock_service import ServiceConfig
@@ -300,3 +303,18 @@ class TestConfigPrecedenceThroughCli:
         # Only the env token is accepted by the service, so success proves
         # the environment overrode the file.
         assert result.exit_code == 0, result.stderr
+
+
+def test_cli_import_loads_no_mock_server():
+    code = (
+        "import sys, geopub.cli\n"
+        "print(sorted({'geopub.mock_service', 'http.server'} & set(sys.modules)))\n"
+    )
+    package_root = Path(geopub.__file__).resolve().parents[1]
+    path = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[]\n"

@@ -21,7 +21,6 @@ from geopub.errors import (
 from geopub.manifest import build_manifest, checksum_file
 from geopub.mock_service import Fault, ServiceConfig
 from geopub.orchestrator import (
-    ArtifactKind,
     DoiCache,
     DoiCacheRecord,
     build_source_archive,
@@ -185,7 +184,6 @@ class TestPublishSoftware:
         cache.put(
             DoiCacheRecord(
                 backend_name=backend.profile.name,
-                artifact_kind=ArtifactKind.SOFTWARE,
                 version_id=version.id,
                 publication_id=999,
                 doi="10.5072/geopub.999",
@@ -196,7 +194,7 @@ class TestPublishSoftware:
             backend.profile, source_tree, cache=cache, client=backend.client()
         )
         assert outcome.reused is False
-        refreshed = cache.get(backend.profile.name, ArtifactKind.SOFTWARE, version.id)
+        refreshed = cache.get(backend.profile.name, version.id)
         assert refreshed.publication_id == outcome.result.publication_id
 
     def test_cache_records_are_software_kind_only(self, source_tree, make_backend, cache):
@@ -204,6 +202,39 @@ class TestPublishSoftware:
         publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
         document = json.loads(cache.path.read_text())
         assert {r["artifact_kind"] for r in document["records"]} == {"software"}
+
+    @pytest.mark.parametrize("searchable", [True, False], ids=["search", "cache"])
+    def test_public_run_makes_private_publication_public(
+        self, source_tree, make_backend, cache, searchable
+    ):
+        backend = make_backend(
+            ServiceConfig.figshare_like() if searchable else ServiceConfig.zenodo_like()
+        )
+        first = publish_software(
+            backend.profile, source_tree, private=True, cache=cache, client=backend.client()
+        )
+        second = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        assert second.reused is True
+        assert second.result.publication_id == first.result.publication_id
+        assert second.result.doi == first.result.doi
+        assert second.result.doi_active is True
+        assert backend.service.deposition_record(first.result.publication_id)["state"] == "public"
+
+    @pytest.mark.parametrize("searchable", [True, False], ids=["search", "cache"])
+    def test_private_run_after_public_sends_no_make_public(
+        self, source_tree, make_backend, cache, searchable
+    ):
+        backend = make_backend(
+            ServiceConfig.figshare_like() if searchable else ServiceConfig.zenodo_like()
+        )
+        first = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        # A make_public request would now fail the run.
+        backend.service.inject_fault(Fault.http500(), on="make_public")
+        second = publish_software(
+            backend.profile, source_tree, private=True, cache=cache, client=backend.client()
+        )
+        assert second.reused is True
+        assert second.result == first.result
 
     def test_private_software_publication(self, source_tree, backend):
         outcome = publish_software(
@@ -216,7 +247,6 @@ class TestDoiCache:
     def _record(self, version="v1", doi="10.5072/geopub.1", publication_id=1):
         return DoiCacheRecord(
             backend_name="zenodo-like",
-            artifact_kind=ArtifactKind.SOFTWARE,
             version_id=version,
             publication_id=publication_id,
             doi=doi,
@@ -224,30 +254,47 @@ class TestDoiCache:
         )
 
     def test_get_on_missing_cache_is_none(self, cache):
-        assert cache.get("zenodo-like", ArtifactKind.SOFTWARE, "v1") is None
+        assert cache.get("zenodo-like", "v1") is None
 
     def test_put_then_get_round_trip(self, cache):
         record = self._record()
         cache.put(record)
-        assert cache.get("zenodo-like", ArtifactKind.SOFTWARE, "v1") == record
+        assert cache.get("zenodo-like", "v1") == record
 
     def test_put_overwrites_same_key(self, cache):
         cache.put(self._record(doi="10.5072/geopub.1", publication_id=1))
         cache.put(self._record(doi="10.5072/geopub.2", publication_id=2))
-        found = cache.get("zenodo-like", ArtifactKind.SOFTWARE, "v1")
+        found = cache.get("zenodo-like", "v1")
         assert found.publication_id == 2
         document = json.loads(cache.path.read_text())
         assert len(document["records"]) == 1
 
-    def test_kind_is_part_of_the_key(self, cache):
+    def test_file_written_by_earlier_versions_round_trips(self, cache):
+        # The exact bytes that earlier versions, with their artifact-kind
+        # enum, wrote for this record.
+        written = (
+            '{\n  "records": [\n    {\n      "backend_name": "zenodo-like",\n'
+            '      "artifact_kind": "software",\n      "version_id": "v1",\n'
+            '      "publication_id": 1,\n      "doi": "10.5072/geopub.1",\n'
+            '      "created_at": "2026-01-01T00:00:00+00:00"\n    }\n  ]\n}'
+        )
+        cache.path.parent.mkdir(parents=True, exist_ok=True)
+        cache.path.write_text(written)
+        assert cache.get("zenodo-like", "v1") == self._record()
         cache.put(self._record())
-        assert cache.get("zenodo-like", ArtifactKind.DATA, "v1") is None
+        assert cache.path.read_text() == written
+
+    def test_record_of_another_kind_aborts(self, cache):
+        cache.put(self._record())
+        cache.path.write_text(cache.path.read_text().replace('"software"', '"data"'))
+        with pytest.raises(CacheCorruptError):
+            cache.get("zenodo-like", "v1")
 
     def test_truncated_cache_file_aborts(self, cache):
         cache.path.parent.mkdir(parents=True, exist_ok=True)
         cache.path.write_text('{"records": [{"backend_name": "x"')
         with pytest.raises(CacheCorruptError):
-            cache.get("zenodo-like", ArtifactKind.SOFTWARE, "v1")
+            cache.get("zenodo-like", "v1")
         with pytest.raises(CacheCorruptError):
             cache.put(self._record())
 
@@ -295,7 +342,7 @@ class TestDoiCache:
             backend.profile, source_tree, cache=cache, client=backend.client()
         )
         assert outcome.reused is False
-        assert cache.get(backend.profile.name, ArtifactKind.SOFTWARE, outcome.version.id)
+        assert cache.get(backend.profile.name, outcome.version.id)
 
 
 def _git(repo: Path, *args: str) -> None:

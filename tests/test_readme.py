@@ -1,0 +1,29 @@
+"""The README's library example runs as written."""
+
+from __future__ import annotations
+
+import re
+import shutil
+from pathlib import Path
+
+from conftest import OrkneyTree
+
+from geopub.repo_protocol import unregister_inprocess_handler
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    match = re.search(
+        r"^## Library use\n.*?^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
+    )
+    assert match is not None, "no python block under '## Library use'"
+    orkney = OrkneyTree(tmp_path)
+    shutil.copy(orkney.mesh, tmp_path / "orkney.msh")
+    (tmp_path / "src" / "meshtool").mkdir(parents=True)
+    (tmp_path / "src" / "meshtool" / "main.py").write_text("print('mesh')\n")
+    monkeypatch.chdir(tmp_path)
+    try:
+        exec(compile(match.group(1), str(README), "exec"), {})
+    finally:
+        unregister_inprocess_handler("demo")

@@ -270,22 +270,6 @@ class TestCollaborators:
             client.add_collaborator(deposition.id, "alice")
 
 
-class TestAppendTag:
-    def test_append_on_draft(self, backend):
-        client = backend.client()
-        deposition = client.create_deposition(META)
-        tags = client.append_tag(deposition.id, "uses-software-doi:10.5072/geopub.9")
-        assert "uses-software-doi:10.5072/geopub.9" in tags
-
-    def test_append_after_publish_rejected(self, backend):
-        client = backend.client()
-        deposition = client.create_deposition(META)
-        client.upload_file(deposition.id, entry_for(b"x"), b"x")
-        client.publish_deposition(deposition.id)
-        with pytest.raises(ValidationError):
-            client.append_tag(deposition.id, "late-tag")
-
-
 class TestRetryPolicy:
     def test_get_retried_then_network_error(self, backend):
         backend.service.inject_fault(Fault.http500(), on="search")

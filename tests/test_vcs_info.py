@@ -15,7 +15,6 @@ from geopub.vcs_info import (
     VersionKind,
     detect_version,
     parse_authors,
-    render_authors,
     tree_hash,
 )
 
@@ -74,6 +73,23 @@ class TestDetectVersion:
         assert version.kind is VersionKind.TREE_HASH
         assert version.id == tree_hash(plain)
         assert version.dirty is False
+
+    def test_repository_without_commits_falls_back_to_tree_hash(self, tmp_path):
+        repo = tmp_path / "fresh"
+        repo.mkdir()
+        _git(repo, "init", "-q")
+        (repo / "f.txt").write_text("data")
+        _git(repo, "add", ".")
+        version = detect_version(repo)
+        assert version.kind is VersionKind.TREE_HASH
+        assert version.id == tree_hash(repo)
+        assert version.dirty is False
+
+    def test_missing_git_falls_back_to_tree_hash(self, git_repo, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-such-bin"))
+        version = detect_version(git_repo)
+        assert version.kind is VersionKind.TREE_HASH
+        assert version.id == tree_hash(git_repo)
 
     def test_stable_across_repeated_calls(self, git_repo):
         assert detect_version(git_repo) == detect_version(git_repo)
@@ -248,5 +264,9 @@ _id_value = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789:._-", min_siz
     )
 )
 def test_parse_after_render_is_identity(tmp_path, authors):
-    (tmp_path / "AUTHORS").write_text(render_authors(authors), encoding="utf-8")
+    lines = [
+        " ".join([f"{a.name} <{a.email}>", *(f"{k}:{v}" for k, v in a.service_ids.items())])
+        for a in authors
+    ]
+    (tmp_path / "AUTHORS").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     assert parse_authors(tmp_path) == authors
