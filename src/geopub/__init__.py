@@ -40,7 +40,6 @@ from .orchestrator import (
     build_source_archive,
     publish_data,
     publish_software,
-    version_tag,
 )
 from .qgis_project import (
     DataSourceRef,
@@ -68,7 +67,6 @@ from .vcs_info import (
     VersionKind,
     detect_version,
     parse_authors,
-    tree_hash,
 )
 
 __version__ = "0.1.0"
@@ -123,6 +121,4 @@ __all__ = [
     "publish_data",
     "publish_software",
     "resolve_datasource",
-    "tree_hash",
-    "version_tag",
 ]

@@ -5,10 +5,11 @@ tag included, with no network traffic (the dry-run preview);
 :func:`publish_data` then creates, uploads and publishes it.
 
 Software publication: detect the exact source version, look for an existing
-publication of that version first (server-side search when the backend
-supports it, else the local DOI cache), and only create a new deposition when
-none is found. The source tree is uploaded as a byte-deterministic tar
-archive so republishing an identical tree is reproducible.
+publication of it first (server-side search when the backend supports it,
+else the local DOI cache), and only create a new deposition when none is
+found. It holds a byte-deterministic tar archive of the files that
+:mod:`.vcs_info` lists for the version: the tracked files of a commit, or
+every file of a plain tree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .repo_protocol import (
     PublicationResult,
     RepositoryClient,
 )
-from .vcs_info import SourceVersion, detect_version, iter_source_files, parse_authors
+from .vcs_info import SourceVersion, detect_version, parse_authors
 
 logger = logging.getLogger(__name__)
 
@@ -169,15 +170,6 @@ class DoiCache:
             raise CacheCorruptError(f"cache file {self.path} is unreadable: {exc}") from exc
 
 
-def version_tag(version: SourceVersion) -> str:
-    """Deposition tag identifying an exact software version."""
-    return f"version:{version.kind.value}:{versioned_id(version)}"
-
-
-def versioned_id(version: SourceVersion) -> str:
-    return version.id + ("-dirty" if version.dirty else "")
-
-
 def plan_data(
     project_path: str | os.PathLike,
     mesh_path: str | os.PathLike | None = None,
@@ -250,7 +242,8 @@ def publish_software(
     creates a new deposition. A public run that finds a private publication
     of the version makes it public, so the returned DOI is active. A given
     cache is locked for the whole run. Dirty working trees are publishable;
-    their version tag carries a ``-dirty`` suffix and a warning is emitted.
+    their version tag carries ``-dirty-`` and the digest of their tracked
+    files, and a warning is emitted.
     """
     version = detect_version(source_dir)
     if version.dirty:
@@ -259,11 +252,9 @@ def publish_software(
             version.source_dir,
         )
     client = client or RepositoryClient(profile)
-    tag = version_tag(version)
-    vid = versioned_id(version)
 
     with cache.lock() if cache is not None else nullcontext():
-        deposition = _find_published(profile, client, cache, tag, vid)
+        deposition = _find_published(profile, client, cache, version)
         if deposition is not None:
             if not private and deposition.state is DepositionState.PRIVATE:
                 logger.info("making private publication %d public", deposition.id)
@@ -275,7 +266,7 @@ def publish_software(
         source_dir = version.source_dir
         authors = parse_authors(source_dir)
         with tempfile.TemporaryDirectory(prefix="geopub-archive-") as scratch:
-            archive = build_source_archive(source_dir, Path(scratch), version.id)
+            archive = build_source_archive(version, Path(scratch))
             entry = ManifestEntry(
                 path=archive,
                 name=archive.name,
@@ -284,9 +275,9 @@ def publish_software(
             )
             manifest = PublicationManifest(
                 entries=(entry,),
-                title=f"{source_dir.name} source ({vid[:12]})",
-                description=f"Source tree of {source_dir.name} at version {vid}.",
-                tags=(tag, source_dir.name.lower()),
+                title=f"{source_dir.name} source ({version.id[:12]})",
+                description=f"Source tree of {source_dir.name} at version {version.key}.",
+                tags=(version.tag, source_dir.name.lower()),
                 authors=tuple(authors),
                 total_size=entry.size,
             )
@@ -296,7 +287,7 @@ def publish_software(
             cache.put(
                 DoiCacheRecord(
                     backend_name=profile.name,
-                    version_id=vid,
+                    version_id=version.key,
                     publication_id=result.publication_id,
                     doi=result.doi,
                     created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -309,19 +300,18 @@ def _find_published(
     profile: BackendProfile,
     client: RepositoryClient,
     cache: DoiCache | None,
-    tag: str,
-    vid: str,
+    version: SourceVersion,
 ) -> Deposition | None:
     """The existing publication of a software version: found by tag search
     when the backend supports it, else through the DOI cache, if any."""
     if profile.can_search:
-        hits = client.search_by_tag(tag)
+        hits = client.search_by_tag(version.tag)
         if not hits:
             return None
         deposition = client.get_deposition(hits[0].id)
         logger.info("version already published as %s; reusing", deposition.doi)
         return deposition
-    record = cache.get(profile.name, vid) if cache is not None else None
+    record = cache.get(profile.name, version.key) if cache is not None else None
     if record is None:
         return None
     try:
@@ -337,18 +327,22 @@ def _find_published(
     return deposition
 
 
-def build_source_archive(source_dir: Path, dest_dir: Path, version_id: str) -> Path:
-    """Pack a source tree into a byte-deterministic uncompressed tar.
+def build_source_archive(version: SourceVersion, dest_dir: Path) -> Path:
+    """Pack a version's files into a byte-deterministic uncompressed tar.
 
-    Members are regular files sorted by path, rooted under the tree's
-    directory name, with zeroed timestamps and normalized ownership/modes, so
-    the same tree always yields the same bytes. VCS metadata is excluded.
+    Members are the files of :meth:`SourceVersion.files`, in that order,
+    rooted under the tree's directory name, with zeroed timestamps and
+    normalized ownership/modes, so the same files always yield the same bytes.
+
+    Raises:
+        FileNotFoundError: git tracks no file under a commit's directory.
     """
+    source_dir = version.source_dir
     dest_dir.mkdir(parents=True, exist_ok=True)
-    archive_path = dest_dir / f"{source_dir.name}-{version_id[:12]}.tar"
+    archive_path = dest_dir / f"{source_dir.name}-{version.id[:12]}.tar"
     with tarfile.open(archive_path, "w", format=tarfile.GNU_FORMAT) as tar:
-        for path, relative in iter_source_files(source_dir):
-            stat = path.stat()
+        for path, relative in version.files():
+            stat = os.stat(path)
             info = tarfile.TarInfo(name=f"{source_dir.name}/{relative}")
             info.size = stat.st_size
             info.mtime = 0

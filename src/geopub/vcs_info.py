@@ -1,8 +1,9 @@
-"""Version identity of a software source tree, plus its author list.
+"""Version identity of a software source tree, its files, and its authors.
 
-A tree under git is identified by its head commit (with a dirty flag when
-tracked files have uncommitted changes). A plain directory falls back to a
-content hash over its files, so any tree gets a stable version id.
+A tree under git is identified by its head commit, plus a digest of its
+tracked files when they have uncommitted changes. A plain directory is
+identified by a content hash of its files. :func:`_list_files` alone lists
+a version's files, for the id and for the source archive.
 """
 
 from __future__ import annotations
@@ -40,6 +41,26 @@ class SourceVersion:
     id: str
     dirty: bool
     source_dir: Path
+    #: Content hash of a dirty tree's tracked files; empty when clean.
+    dirty_digest: str = ""
+    #: (path, posix path under ``source_dir``) of each file, if detect_version listed them.
+    listing: tuple[tuple[str, str], ...] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def key(self) -> str:
+        """The version's key in the DOI cache."""
+        return f"{self.id}-dirty-{self.dirty_digest}" if self.dirty else self.id
+
+    @property
+    def tag(self) -> str:
+        """Deposition tag identifying this exact version."""
+        return f"version:{self.kind.value}:{self.key}"
+
+    def files(self) -> tuple[tuple[str, str], ...]:
+        """The files of this version; a clean commit's are listed on each call."""
+        if self.listing is None:
+            return _list_files(self.source_dir, tracked=self.kind is VersionKind.COMMIT)
+        return self.listing
 
 
 @dataclass(frozen=True)
@@ -54,8 +75,9 @@ class AuthorRef:
 def detect_version(source_dir: str | os.PathLike) -> SourceVersion:
     """Determine the version identity of ``source_dir``.
 
-    Inside a git working tree the identity is the current head commit;
-    otherwise it is the content hash computed by :func:`tree_hash`.
+    Inside a git working tree the identity is the current head commit, plus
+    the content hash of the tracked files when they have uncommitted changes;
+    otherwise it is the content hash of every file (see :func:`_hash_files`).
 
     Raises:
         NotADirectoryError: ``source_dir`` does not exist or is not a directory.
@@ -65,28 +87,34 @@ def detect_version(source_dir: str | os.PathLike) -> SourceVersion:
         raise NotADirectoryError(f"not a directory: {directory}")
 
     git = _git_status(directory)
-    if git is not None:
-        head, dirty = git
-        return SourceVersion(kind=VersionKind.COMMIT, id=head, dirty=dirty, source_dir=directory)
+    if git is None:
+        files = _list_files(directory, tracked=False)
+        return SourceVersion(
+            kind=VersionKind.TREE_HASH,
+            id=_hash_files(files),
+            dirty=False,
+            source_dir=directory,
+            listing=files,
+        )
+    head, dirty = git
+    if not dirty:
+        return SourceVersion(kind=VersionKind.COMMIT, id=head, dirty=False, source_dir=directory)
+    files = _list_files(directory, tracked=True)
     return SourceVersion(
-        kind=VersionKind.TREE_HASH,
-        id=tree_hash(directory),
-        dirty=False,
+        kind=VersionKind.COMMIT,
+        id=head,
+        dirty=True,
         source_dir=directory,
+        dirty_digest=_dirty_digest(files),
+        listing=files,
     )
 
 
-def tree_hash(directory: str | os.PathLike) -> str:
-    """Content hash of every regular file under ``directory``.
-
-    SHA-256 over the concatenation, in lexicographic relative-path order, of
-    ``(relative path bytes, 0x00, file content bytes, 0x00)`` per file.
-    Version-control metadata directories and symlinks are excluded, and the
-    result does not depend on filesystem listing order.
-    """
-    root = Path(os.path.abspath(directory))
+def _hash_files(files: tuple[tuple[str, str], ...]) -> str:
+    """SHA-256 over the concatenation, in list order, of ``(relative path
+    bytes, 0x00, file content bytes, 0x00)`` per file."""
     digest = hashlib.sha256()
-    for path, relative in iter_source_files(root):
+    for path, relative in files:
         digest.update(relative.encode("utf-8"))
         digest.update(b"\x00")
         with open(path, "rb") as handle:
@@ -96,19 +124,52 @@ def tree_hash(directory: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
-def iter_source_files(root: Path) -> list[tuple[Path, str]]:
-    """Regular files under ``root`` as (path, posix relative path) pairs,
-    sorted by the UTF-8 bytes of the relative path, VCS metadata excluded."""
-    collected: list[tuple[Path, str]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d not in VCS_METADATA_DIRS]
-        for filename in filenames:
-            path = Path(dirpath) / filename
-            if path.is_symlink() or not path.is_file():
-                continue
-            collected.append((path, path.relative_to(root).as_posix()))
+def _dirty_digest(files: tuple[tuple[str, str], ...]) -> str:
+    """SHA-256 of the hex :func:`_hash_files` digest of a dirty tree's
+    tracked files, then one byte per file in list order, 1 when its owner may
+    execute it, else 0: the archive records that bit, and git reports a
+    change of it as an edit."""
+    modes = bytes(os.stat(path).st_mode >> 6 & 1 for path, _ in files)
+    return hashlib.sha256(_hash_files(files).encode("ascii") + modes).hexdigest()
+
+
+def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[str, str], ...]:
+    """Regular files under ``directory``, sorted by the UTF-8 bytes of the
+    relative path: those git tracks when ``tracked``, else all of them with
+    VCS metadata excluded. Symlinks are skipped, and so are submodules and
+    tracked files deleted from the working tree.
+
+    Raises:
+        FileNotFoundError: ``tracked`` and git tracks no regular file under
+            ``directory``, as for an untracked directory inside a working tree.
+    """
+    collected: list[tuple[str, str]] = []
+    if tracked:
+        listed = subprocess.run(
+            ["git", "-C", directory, "ls-files", "-z"], capture_output=True, check=True
+        ).stdout
+        # An unmerged path is listed once per conflict stage.
+        for relative in dict.fromkeys(os.fsdecode(listed).split("\0")[:-1]):
+            path = os.path.join(directory, relative)
+            if os.path.isfile(path) and not os.path.islink(path):
+                collected.append((path, relative))
+        if not collected:
+            raise FileNotFoundError(
+                f"git tracks no file under {directory}: commit its files, or publish"
+                " a copy outside the git working tree"
+            )
+    else:
+        pending = [(directory, "")]
+        while pending:
+            dirpath, prefix = pending.pop()
+            with os.scandir(dirpath) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False) and entry.name not in VCS_METADATA_DIRS:
+                        pending.append((entry.path, prefix + entry.name + "/"))
+                    elif entry.is_file(follow_symlinks=False):
+                        collected.append((entry.path, prefix + entry.name))
     collected.sort(key=lambda item: item[1].encode("utf-8"))
-    return collected
+    return tuple(collected)
 
 
 _AUTHOR_LINE = re.compile(r"^(?P<name>[^<]+?)\s*<(?P<email>[^>]*)>\s*(?P<ids>.*)$")
@@ -158,11 +219,15 @@ def _git_status(directory: Path) -> tuple[str, bool] | None:
     process; None when git is unavailable, the directory is not inside a
     working tree, or the repository has no commits yet."""
     try:
+        # Without optional locks git does not write the refreshed index back,
+        # so detection leaves the repository untouched and never holds its
+        # index.lock against the user's own git commands.
         result = subprocess.run(
             ["git", "-C", str(directory), "status", "--porcelain=v2", "--branch",
              "--untracked-files=no"],
             capture_output=True,
             text=True,
+            env={**os.environ, "GIT_OPTIONAL_LOCKS": "0"},
         )
     except FileNotFoundError:
         logger.debug("git executable not found; falling back to tree hash")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -133,3 +134,36 @@ def make_backend():
 @pytest.fixture
 def backend(make_backend) -> Backend:
     return make_backend()
+
+
+class _ReversedListing:
+    """A directory listing in reverse order, usable as ``os.scandir``'s
+    result is: as an iterator and as a context manager."""
+
+    def __init__(self, entries: list):
+        self._entries = iter(entries[::-1])
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._entries)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+@pytest.fixture
+def reverse_listing(monkeypatch):
+    """Call the returned function to make every directory listing of the tree
+    walk (``os.scandir``) come back in reverse order from then on."""
+    real_scandir = os.scandir
+
+    def reversed_scandir(path="."):
+        with real_scandir(path) as entries:
+            return _ReversedListing(list(entries))
+
+    return lambda: monkeypatch.setattr(os, "scandir", reversed_scandir)

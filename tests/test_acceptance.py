@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import random
+import shutil
 import subprocess
 import time
 from pathlib import Path
@@ -31,7 +31,7 @@ from geopub.mock_service import ServiceConfig
 from geopub.orchestrator import build_source_archive
 from geopub.qgis_project import collect_datasources, parse_project
 from geopub.repo_protocol import DepositionMeta
-from geopub.vcs_info import tree_hash
+from geopub.vcs_info import VersionKind, detect_version
 
 
 def criterion(number: int, label: str):
@@ -328,38 +328,40 @@ def test_5_parser_oracle_equivalence(tmp_path, orkney):
 
 
 @criterion(6, "determinism of manifest, tree hash, and archive")
-def test_6_determinism(orkney, source_tree, tmp_path, monkeypatch):
+def test_6_determinism(orkney, source_tree, tmp_path, reverse_listing):
+    plain = tmp_path / "plain" / source_tree.name
+    shutil.copytree(source_tree, plain, ignore=shutil.ignore_patterns(".git"))
+    # Several files in one directory, so that the listing order can matter.
+    for name in ("README", "LICENSE", "CHANGES"):
+        (plain / name).write_text(f"{name}\n")
     project = parse_project(orkney.project)
     sources = collect_datasources(project)
     manifest_once = build_manifest(project, sources, orkney.mesh)
-    hash_once = tree_hash(source_tree)
-    archive_once = build_source_archive(source_tree, tmp_path / "a", "fixedversion").read_bytes()
+    version_once = detect_version(plain)
+    assert version_once.kind is VersionKind.TREE_HASH
+    archives_once = [
+        build_source_archive(detect_version(tree), tmp_path / "a" / str(n)).read_bytes()
+        for n, tree in enumerate((plain, source_tree))
+    ]
 
     # Second run, same listing order.
     assert build_manifest(project, sources, orkney.mesh) == manifest_once
-    assert tree_hash(source_tree) == hash_once
+    assert detect_version(plain).id == version_once.id
 
     # Third run under a reversed directory-listing order.
-    real_walk = os.walk
-
-    def reversed_walk(top, **kwargs):
-        for dirpath, dirnames, filenames in real_walk(top, **kwargs):
-            dirnames.reverse()
-            filenames.reverse()
-            yield dirpath, dirnames, filenames
-
-    monkeypatch.setattr(os, "walk", reversed_walk)
+    reverse_listing()
     manifest_reversed = build_manifest(
         parse_project(orkney.project), collect_datasources(parse_project(orkney.project)),
         orkney.mesh,
     )
     assert manifest_reversed == manifest_once
     assert manifest_to_json(manifest_reversed) == manifest_to_json(manifest_once)
-    assert tree_hash(source_tree) == hash_once
-    archive_reversed = build_source_archive(
-        source_tree, tmp_path / "b", "fixedversion"
-    ).read_bytes()
-    assert archive_reversed == archive_once
+    assert detect_version(plain).id == version_once.id
+    archives_reversed = [
+        build_source_archive(detect_version(tree), tmp_path / "b" / str(n)).read_bytes()
+        for n, tree in enumerate((plain, source_tree))
+    ]
+    assert archives_reversed == archives_once
 
 
 @criterion(7, "dry-run isolation")

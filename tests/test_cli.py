@@ -272,6 +272,21 @@ class TestPublishSoftwareCommand:
         assert "Reusing existing publication." in second.stdout
         assert backend.service.deposition_count() == 1
 
+    def test_untracked_directory_in_working_tree_exits_3(
+        self, runner, source_tree, backend, tmp_path
+    ):
+        _git(source_tree, "init", "-q")
+        _git(source_tree, "add", ".")
+        _git(source_tree, "commit", "-q", "-m", "initial")
+        nested = source_tree / "newproj"
+        nested.mkdir()
+        (nested / "main.py").write_text("print('new')\n")
+        env = cli_env(tmp_path, backend)
+        result = runner.invoke(main, ["publish", "software", "--source", str(nested)], env=env)
+        assert result.exit_code == 3
+        assert "git tracks no file" in result.stderr
+        assert backend.service.deposition_count() == 0
+
     def test_missing_source_exits_3(self, runner, backend, tmp_path):
         env = cli_env(tmp_path, backend)
         result = runner.invoke(

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from test_vcs_info import _reference_dirty_digest
+
 import geopub
+from geopub import orchestrator, vcs_info
 from geopub.errors import (
     CacheCorruptError,
     CacheLockError,
@@ -27,7 +30,6 @@ from geopub.orchestrator import (
     plan_data,
     publish_data,
     publish_software,
-    version_tag,
 )
 from geopub.qgis_project import collect_datasources, parse_project
 from geopub.vcs_info import detect_version
@@ -160,7 +162,7 @@ class TestPublishSoftware:
         outcome = publish_software(backend.profile, source_tree, client=backend.client())
         version = detect_version(source_tree)
         record = backend.service.deposition_record(outcome.result.publication_id)
-        assert version_tag(version) in record["tags"]
+        assert version.tag in record["tags"]
         assert record["files"][0]["name"] == f"meshtool-{version.id[:12]}.tar"
 
     def test_authors_file_feeds_deposition(self, source_tree, backend):
@@ -169,14 +171,66 @@ class TestPublishSoftware:
         assert record["authors"] == [{"name": "Ada Lovelace", "id": "554577"}]
 
     def test_dirty_git_tree_gets_dirty_tag(self, source_tree, backend):
-        _git(source_tree, "init", "-q")
-        _git(source_tree, "add", ".")
-        _git(source_tree, "commit", "-q", "-m", "initial")
+        _commit_all(source_tree)
+        head = _git(source_tree, "rev-parse", "HEAD")
         (source_tree / "README").write_text("edited\n")
         outcome = publish_software(backend.profile, source_tree, client=backend.client())
         assert outcome.version.dirty is True
+        assert outcome.version.id == head
         record = backend.service.deposition_record(outcome.result.publication_id)
-        assert any(tag.endswith("-dirty") for tag in record["tags"])
+        tag = f"version:commit:{head}-dirty-{_reference_dirty_digest(source_tree)}"
+        assert tag == outcome.version.tag
+        assert record["tags"] == [tag, "meshtool"]
+        assert record["title"] == f"meshtool source ({head[:12]})"
+
+    @pytest.mark.parametrize("searchable", [True, False], ids=["search", "cache"])
+    def test_second_edit_of_dirty_tree_gets_new_deposition(
+        self, source_tree, make_backend, cache, searchable
+    ):
+        backend = make_backend(
+            ServiceConfig.figshare_like() if searchable else ServiceConfig.zenodo_like()
+        )
+        _commit_all(source_tree)
+        (source_tree / "README").write_text("first edit\n")
+        first = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        (source_tree / "README").write_text("second edit\n")
+        second = publish_software(
+            backend.profile, source_tree, cache=cache, client=backend.client()
+        )
+        assert second.reused is False
+        assert second.result.doi != first.result.doi
+        assert backend.service.deposition_count() == 2
+
+    @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+    def test_untracked_directory_in_working_tree_is_refused(
+        self, source_tree, backend, dirty
+    ):
+        _commit_all(source_tree)
+        if dirty:
+            (source_tree / "README").write_text("edited\n")
+        nested = source_tree / "newproj"
+        nested.mkdir()
+        (nested / "main.py").write_text("print('new')\n")
+        with pytest.raises(FileNotFoundError, match="git tracks no file"):
+            publish_software(backend.profile, nested, client=backend.client())
+        assert backend.service.deposition_count() == 0
+
+    @pytest.mark.parametrize("searchable", [True, False], ids=["search", "cache"])
+    def test_same_dirty_state_reuses_deposition(
+        self, source_tree, make_backend, cache, searchable
+    ):
+        backend = make_backend(
+            ServiceConfig.figshare_like() if searchable else ServiceConfig.zenodo_like()
+        )
+        _commit_all(source_tree)
+        (source_tree / "README").write_text("edited\n")
+        first = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        second = publish_software(
+            backend.profile, source_tree, cache=cache, client=backend.client()
+        )
+        assert second.reused is True
+        assert second.result.doi == first.result.doi
+        assert backend.service.deposition_count() == 1
 
     def test_stale_cache_record_triggers_republish(self, source_tree, make_backend, cache):
         backend = make_backend(ServiceConfig.zenodo_like())
@@ -196,6 +250,27 @@ class TestPublishSoftware:
         assert outcome.reused is False
         refreshed = cache.get(backend.profile.name, version.id)
         assert refreshed.publication_id == outcome.result.publication_id
+
+    def test_cache_record_of_clean_commit_keeps_its_key(self, source_tree, make_backend, cache):
+        backend = make_backend(ServiceConfig.zenodo_like())
+        _commit_all(source_tree)
+        head = _git(source_tree, "rev-parse", "HEAD")
+        published = publish_software(backend.profile, source_tree, client=backend.client())
+        # A record keyed by the bare head commit, as every earlier version wrote it.
+        cache.put(
+            DoiCacheRecord(
+                backend_name=backend.profile.name,
+                version_id=head,
+                publication_id=published.result.publication_id,
+                doi=published.result.doi,
+                created_at="2026-01-01T00:00:00+00:00",
+            )
+        )
+        outcome = publish_software(
+            backend.profile, source_tree, cache=cache, client=backend.client()
+        )
+        assert outcome.reused is True
+        assert outcome.result.doi == published.result.doi
 
     def test_cache_records_are_software_kind_only(self, source_tree, make_backend, cache):
         backend = make_backend(ServiceConfig.zenodo_like())
@@ -345,39 +420,39 @@ class TestDoiCache:
         assert cache.get(backend.profile.name, outcome.version.id)
 
 
-def _git(repo: Path, *args: str) -> None:
-    subprocess.run(
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(
         ["git", "-C", str(repo), "-c", "user.email=t@example.org", "-c", "user.name=T", *args],
         capture_output=True,
+        text=True,
         check=True,
-    )
+    ).stdout.strip()
+
+
+def _commit_all(repo: Path) -> None:
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "initial")
+
+
+def _archive(source_dir: Path, dest_dir: Path) -> Path:
+    return build_source_archive(detect_version(source_dir), dest_dir)
 
 
 class TestSourceArchive:
     def test_two_builds_are_byte_identical(self, source_tree, tmp_path):
-        a = build_source_archive(source_tree, tmp_path / "a", "abcdef123456")
-        b = build_source_archive(source_tree, tmp_path / "b", "abcdef123456")
+        a = _archive(source_tree, tmp_path / "a")
+        b = _archive(source_tree, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invariant_under_listing_order(self, source_tree, tmp_path, monkeypatch):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        normal = build_source_archive(source_tree, tmp_path / "a", "v")
-
-        real_walk = os.walk
-
-        def reversed_walk(top, **kwargs):
-            for dirpath, dirnames, filenames in real_walk(top, **kwargs):
-                dirnames.reverse()
-                filenames.reverse()
-                yield dirpath, dirnames, filenames
-
-        monkeypatch.setattr(os, "walk", reversed_walk)
-        shuffled = build_source_archive(source_tree, tmp_path / "b", "v")
+    def test_invariant_under_listing_order(self, source_tree, tmp_path, reverse_listing):
+        normal = _archive(source_tree, tmp_path / "a")
+        reverse_listing()
+        shuffled = _archive(source_tree, tmp_path / "b")
         assert normal.read_bytes() == shuffled.read_bytes()
 
     def test_members_are_rooted_and_complete(self, source_tree, tmp_path):
-        archive = build_source_archive(source_tree, tmp_path, "deadbeef0000")
+        archive = _archive(source_tree, tmp_path)
         with tarfile.open(archive) as tar:
             names = tar.getnames()
             assert sorted(names) == [
@@ -389,22 +464,128 @@ class TestSourceArchive:
         assert extracted == (source_tree / "src" / "main.py").read_bytes()
 
     def test_vcs_metadata_excluded(self, source_tree, tmp_path):
-        _git(source_tree, "init", "-q")
-        _git(source_tree, "add", ".")
-        _git(source_tree, "commit", "-q", "-m", "x")
-        archive = build_source_archive(source_tree, tmp_path, "v")
+        _commit_all(source_tree)
+        archive = _archive(source_tree, tmp_path)
         with tarfile.open(archive) as tar:
             assert not any(".git" in name for name in tar.getnames())
 
+    def test_commit_archive_holds_tracked_files_only(self, source_tree, tmp_path):
+        (source_tree / ".gitignore").write_text("build/\n")
+        _commit_all(source_tree)
+        (source_tree / ".env").write_text("API_TOKEN=local-secret\n")
+        (source_tree / "build").mkdir()
+        (source_tree / "build" / "x.o").write_bytes(b"\x7fELF")
+        version = detect_version(source_tree)
+        assert version.dirty is False
+        with tarfile.open(build_source_archive(version, tmp_path)) as tar:
+            assert sorted(tar.getnames()) == [
+                "meshtool/.gitignore",
+                "meshtool/AUTHORS",
+                "meshtool/README",
+                "meshtool/src/main.py",
+            ]
+
+    def test_commit_archive_skips_symlinks_and_deleted_files(self, source_tree, tmp_path):
+        (source_tree / "link").symlink_to("README")
+        _commit_all(source_tree)
+        (source_tree / "AUTHORS").unlink()
+        version = detect_version(source_tree)
+        assert version.dirty is True
+        with tarfile.open(build_source_archive(version, tmp_path)) as tar:
+            assert sorted(tar.getnames()) == ["meshtool/README", "meshtool/src/main.py"]
+
+    def test_unmerged_paths_are_archived_once(self, source_tree, tmp_path):
+        _commit_all(source_tree)
+        _git(source_tree, "checkout", "-q", "-b", "other")
+        (source_tree / "README").write_text("other\n")
+        _git(source_tree, "commit", "-q", "-am", "other")
+        _git(source_tree, "checkout", "-q", "-")
+        (source_tree / "README").write_text("main\n")
+        _git(source_tree, "commit", "-q", "-am", "main")
+        with pytest.raises(subprocess.CalledProcessError):
+            _git(source_tree, "merge", "-q", "other")
+        version = detect_version(source_tree)
+        assert version.dirty is True
+        with tarfile.open(build_source_archive(version, tmp_path)) as tar:
+            assert tar.getnames() == [
+                "meshtool/AUTHORS",
+                "meshtool/README",
+                "meshtool/src/main.py",
+            ]
+
+    def test_clones_of_one_commit_give_identical_archives(self, source_tree, tmp_path):
+        _commit_all(source_tree)
+        clones = [tmp_path / side / "meshtool" for side in ("a", "b")]
+        for clone in clones:
+            subprocess.run(
+                ["git", "clone", "-q", str(source_tree), str(clone)],
+                capture_output=True,
+                check=True,
+            )
+        (clones[1] / "notes.txt").write_text("untracked\n")
+        a, b = (_archive(clone, tmp_path / "out" / clone.parent.name) for clone in clones)
+        assert a.name == b.name
+        assert a.read_bytes() == b.read_bytes()
+
     def test_content_change_changes_bytes(self, source_tree, tmp_path):
-        before = build_source_archive(source_tree, tmp_path / "a", "v").read_bytes()
+        before = _archive(source_tree, tmp_path / "a").read_bytes()
         (source_tree / "README").write_text("changed\n")
-        after = build_source_archive(source_tree, tmp_path / "b", "v").read_bytes()
+        after = _archive(source_tree, tmp_path / "b").read_bytes()
         assert before != after
 
     def test_archive_checksum_matches_manifest_checksum(self, source_tree, tmp_path):
-        archive = build_source_archive(source_tree, tmp_path, "v")
+        archive = _archive(source_tree, tmp_path)
         # Independent digest of the archive bytes.
         import hashlib
 
         assert checksum_file(archive) == hashlib.sha256(archive.read_bytes()).hexdigest()
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that each call's positional arguments are
+    recorded in the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestCost:
+    """How often a publication lists the tree, starts a process and builds
+    an archive."""
+
+    def test_fresh_plain_publication_lists_tree_once(self, source_tree, backend, monkeypatch):
+        scans = _count_calls(monkeypatch, os, "scandir")
+        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        assert outcome.reused is False
+        assert [str(path) for path, in scans].count(str(source_tree)) == 1
+
+    def test_clean_commit_reuse_runs_one_process_and_never_walks(
+        self, source_tree, backend, monkeypatch
+    ):
+        _commit_all(source_tree)
+        publish_software(backend.profile, source_tree, client=backend.client())
+        processes = _count_calls(monkeypatch, subprocess, "Popen")
+        listings = _count_calls(monkeypatch, vcs_info, "_list_files")
+        scans = _count_calls(monkeypatch, os, "scandir")
+        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        assert outcome.reused is True
+        assert len(processes) == 1
+        assert listings == scans == []
+
+    @pytest.mark.parametrize("under_git", [False, True], ids=["plain", "git"])
+    def test_archive_built_once_per_fresh_publication(
+        self, source_tree, backend, monkeypatch, under_git
+    ):
+        if under_git:
+            _commit_all(source_tree)
+        built = _count_calls(monkeypatch, orchestrator, "build_source_archive")
+        first = publish_software(backend.profile, source_tree, client=backend.client())
+        second = publish_software(backend.profile, source_tree, client=backend.client())
+        assert (first.reused, second.reused) == (False, True)
+        assert len(built) == 1

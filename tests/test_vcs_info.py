@@ -15,7 +15,6 @@ from geopub.vcs_info import (
     VersionKind,
     detect_version,
     parse_authors,
-    tree_hash,
 )
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -61,6 +60,39 @@ class TestDetectVersion:
         assert version.dirty is True
         assert version.id == head
 
+    def test_clean_commit_key_and_tag_are_the_head(self, git_repo):
+        head = _git(git_repo, "rev-parse", "HEAD")
+        version = detect_version(git_repo)
+        assert version.key == head
+        assert version.tag == f"version:commit:{head}"
+
+    def test_plain_tree_tag_is_its_tree_hash(self, tmp_path):
+        (tmp_path / "f.txt").write_text("data")
+        version = detect_version(tmp_path)
+        assert version.key == version.id == _reference_tree_hash(tmp_path)
+        assert version.tag == f"version:treehash:{version.id}"
+
+    def test_dirty_key_follows_tracked_content_only(self, git_repo):
+        head = _git(git_repo, "rev-parse", "HEAD")
+        (git_repo / "module.py").write_text("VALUE = 2\n")
+        first = detect_version(git_repo)
+        assert first.key == f"{head}-dirty-{_reference_dirty_digest(git_repo)}"
+        (git_repo / "untracked.txt").write_text("notes\n")
+        assert detect_version(git_repo).key == first.key
+        (git_repo / "module.py").write_text("VALUE = 3\n")
+        second = detect_version(git_repo)
+        assert second.id == first.id == head
+        assert second.key != first.key
+        assert second != first
+
+    def test_dirty_key_follows_executable_bit(self, git_repo):
+        (git_repo / "README").write_text("edited\n")
+        before = detect_version(git_repo)
+        (git_repo / "module.py").chmod(0o755)
+        after = detect_version(git_repo)
+        assert after.key == f"{after.id}-dirty-{_reference_dirty_digest(git_repo)}"
+        assert after.key != before.key
+
     def test_untracked_file_keeps_tree_clean(self, git_repo):
         (git_repo / "scratch.txt").write_text("notes\n")
         assert detect_version(git_repo).dirty is False
@@ -71,7 +103,7 @@ class TestDetectVersion:
         (plain / "f.txt").write_text("data")
         version = detect_version(plain)
         assert version.kind is VersionKind.TREE_HASH
-        assert version.id == tree_hash(plain)
+        assert version.id == _reference_tree_hash(plain)
         assert version.dirty is False
 
     def test_repository_without_commits_falls_back_to_tree_hash(self, tmp_path):
@@ -82,14 +114,23 @@ class TestDetectVersion:
         _git(repo, "add", ".")
         version = detect_version(repo)
         assert version.kind is VersionKind.TREE_HASH
-        assert version.id == tree_hash(repo)
+        assert version.id == _reference_tree_hash(repo)
         assert version.dirty is False
 
     def test_missing_git_falls_back_to_tree_hash(self, git_repo, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path / "no-such-bin"))
         version = detect_version(git_repo)
         assert version.kind is VersionKind.TREE_HASH
-        assert version.id == tree_hash(git_repo)
+        assert version.id == _reference_tree_hash(git_repo)
+
+    def test_detection_does_not_write_the_index(self, git_repo):
+        index = git_repo / ".git" / "index"
+        before = index.read_bytes()
+        # Same content, new mtime: a refreshing git status would rewrite the index.
+        stat = (git_repo / "module.py").stat()
+        os.utime(git_repo / "module.py", ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert detect_version(git_repo).dirty is False
+        assert index.read_bytes() == before
 
     def test_stable_across_repeated_calls(self, git_repo):
         assert detect_version(git_repo) == detect_version(git_repo)
@@ -107,6 +148,13 @@ class TestDetectVersion:
         assert version.id == _git(git_repo, "rev-parse", "HEAD")
 
 
+def _tree_id(root: Path) -> str:
+    """The version id of a plain directory."""
+    version = detect_version(root)
+    assert version.kind is VersionKind.TREE_HASH
+    return version.id
+
+
 def _reference_tree_hash(root: Path) -> str:
     """Independent restatement of the tree-hash rule."""
     blobs = []
@@ -117,28 +165,39 @@ def _reference_tree_hash(root: Path) -> str:
             if os.path.islink(full):
                 continue
             rel = os.path.relpath(full, root).replace(os.sep, "/")
-            blobs.append((rel, open(full, "rb").read()))
+            blobs.append((rel, Path(full).read_bytes()))
     digest = hashlib.sha256()
     for rel, content in sorted(blobs, key=lambda pair: pair[0].encode("utf-8")):
         digest.update(rel.encode("utf-8") + b"\x00" + content + b"\x00")
     return digest.hexdigest()
 
 
+def _reference_dirty_digest(root: Path) -> str:
+    """Independent restatement of the dirty digest, for a tree whose files
+    are all tracked."""
+    files = sorted(
+        (path for path in root.rglob("*") if ".git" not in path.relative_to(root).parts),
+        key=lambda path: path.relative_to(root).as_posix().encode("utf-8"),
+    )
+    modes = bytes(1 if path.stat().st_mode & 0o100 else 0 for path in files if path.is_file())
+    return hashlib.sha256(_reference_tree_hash(root).encode("ascii") + modes).hexdigest()
+
+
 class TestTreeHash:
     def test_empty_directory_is_hash_of_nothing(self, tmp_path):
-        assert tree_hash(tmp_path) == EMPTY_SHA256
+        assert _tree_id(tmp_path) == EMPTY_SHA256
 
     def test_two_file_fixture_frozen_digest(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"alpha\n")
         (tmp_path / "sub").mkdir()
         (tmp_path / "sub" / "b.txt").write_bytes(b"beta\n")
-        assert tree_hash(tmp_path) == TWO_FILE_TREE_SHA256
+        assert _tree_id(tmp_path) == TWO_FILE_TREE_SHA256
 
     def test_rename_changes_digest(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"alpha\n")
-        before = tree_hash(tmp_path)
+        before = _tree_id(tmp_path)
         (tmp_path / "a.txt").rename(tmp_path / "b.txt")
-        assert tree_hash(tmp_path) != before
+        assert _tree_id(tmp_path) != before
 
     def test_matches_reference_on_larger_tree(self, tmp_path):
         for rel, content in [
@@ -150,39 +209,31 @@ class TestTreeHash:
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(content)
-        assert tree_hash(tmp_path) == _reference_tree_hash(tmp_path)
+        assert _tree_id(tmp_path) == _reference_tree_hash(tmp_path)
 
     def test_vcs_metadata_is_excluded(self, tmp_path):
         (tmp_path / "code.py").write_bytes(b"pass\n")
-        before = tree_hash(tmp_path)
+        before = _tree_id(tmp_path)
         git_dir = tmp_path / ".git" / "objects"
         git_dir.mkdir(parents=True)
         (git_dir / "blob").write_bytes(b"junk")
-        assert tree_hash(tmp_path) == before
+        assert _tree_id(tmp_path) == before
 
     def test_symlinks_are_skipped(self, tmp_path):
         (tmp_path / "real.txt").write_bytes(b"content")
-        before = tree_hash(tmp_path)
+        before = _tree_id(tmp_path)
         (tmp_path / "link.txt").symlink_to(tmp_path / "real.txt")
-        assert tree_hash(tmp_path) == before
+        assert _tree_id(tmp_path) == before
 
-    def test_invariant_under_listing_order(self, tmp_path, monkeypatch):
+    def test_invariant_under_listing_order(self, tmp_path, reverse_listing):
         for name in ("zeta.txt", "alpha.txt", "mid.txt"):
             (tmp_path / name).write_bytes(name.encode())
         (tmp_path / "nested").mkdir()
         (tmp_path / "nested" / "deep.txt").write_bytes(b"deep")
-        normal = tree_hash(tmp_path)
+        normal = _tree_id(tmp_path)
 
-        real_walk = os.walk
-
-        def reversed_walk(top, **kwargs):
-            for dirpath, dirnames, filenames in real_walk(top, **kwargs):
-                dirnames.reverse()
-                filenames.reverse()
-                yield dirpath, dirnames, filenames
-
-        monkeypatch.setattr(os, "walk", reversed_walk)
-        assert tree_hash(tmp_path) == normal
+        reverse_listing()
+        assert _tree_id(tmp_path) == normal
 
 
 class TestParseAuthors:
