@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 import click
@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 
 MB = 1024 * 1024
 GB = 1024 * MB
+#: Every DOI the mock reserves is this prefix, a dot and the deposition id.
+DOI_PREFIX = "10.5072/geopub"
 
 
 class ConnectionDropped(ConnectionError):
@@ -71,7 +73,6 @@ class ServiceConfig:
     private_quota: int = 1 * GB
     collaborator_limit: int = 5
     can_search: bool = True
-    doi_prefix: str = "10.5072/geopub"
     #: None accepts any non-empty token; a string demands that exact token.
     required_token: str | None = None
 
@@ -114,12 +115,13 @@ class _DepositionRecord:
     def stored_bytes(self) -> int:
         return sum(f.size for f in self.files)
 
+    def status(self) -> dict:
+        """The status document of create, publish and make_public."""
+        return {"id": self.id, "doi": self.doi, "doi_active": self.doi_active, "state": self.state}
+
     def public_document(self) -> dict:
         return {
-            "id": self.id,
-            "doi": self.doi,
-            "doi_active": self.doi_active,
-            "state": self.state,
+            **self.status(),
             "title": self.title,
             "description": self.description,
             "tags": list(self.tags),
@@ -129,15 +131,29 @@ class _DepositionRecord:
         }
 
 
-_ID_PATH = re.compile(r"^/api/v1/depositions/(\d+)(?:/(.+))?$")
+#: (method, path pattern, operation) for each entry of ``ENDPOINTS``; a
+#: template's ``{id}`` becomes a group of digits.
+_ROUTES = [
+    (method, re.compile(re.escape(template).replace(r"\{id\}", r"(\d+)")), op)
+    for op, (method, template) in repo_protocol.ENDPOINTS.items()
+]
 
-_SUBRESOURCE_OPS = {
-    "files": "upload",
-    "actions/publish": "publish",
-    "actions/make_public": "make_public",
-    "collaborators": "collaborators",
-    "tags": "tags",
-}
+
+def _route(method: str, path: str) -> tuple[str | None, int | None]:
+    """The operation a request names and the deposition id in its path."""
+    for route_method, pattern, op in _ROUTES:
+        match = pattern.fullmatch(path)
+        if match is not None and route_method == method:
+            return op, int(match[1]) if pattern.groups else None
+    return None, None
+
+
+class _Request(NamedTuple):
+    """What an endpoint implementation reads of a request besides its route."""
+
+    headers: Mapping[str, str]
+    body: bytes
+    query: str
 
 
 class MockService:
@@ -176,9 +192,11 @@ class MockService:
             return record.public_document()
 
     def inject_fault(self, fault: Fault, on: str = "*") -> None:
-        """Make requests to the operation ``on`` ("create", "upload",
-        "publish", "make_public", "search", "get", "collaborators", "tags",
-        or "*" for all) exhibit ``fault`` until faults are cleared."""
+        """Make requests to the operation ``on`` (a key of
+        :data:`repo_protocol.ENDPOINTS`, or "*" for all) exhibit ``fault``
+        until faults are cleared."""
+        if on != "*" and on not in repo_protocol.ENDPOINTS:
+            raise ValueError(f"unknown operation {on!r}")
         with self._lock:
             self._faults.append((fault, on))
 
@@ -214,7 +232,7 @@ class MockService:
     ) -> tuple[int, dict]:
         """Serve one protocol request; returns (status, response document)."""
         parts = urlsplit(path)
-        op, deposition_id = self._route(method, parts.path)
+        op, deposition_id = _route(method, parts.path)
 
         with self._lock:
             self.request_count += 1
@@ -234,31 +252,17 @@ class MockService:
             return 404, {"error": "not_found"}
 
         with self._lock:
-            if op == "create":
-                return self._create(body)
-            if op == "search":
-                return self._search(parse_qs(parts.query))
             record = self._depositions.get(deposition_id)
-            if record is None:
+            if record is None and deposition_id is not None:
                 return 404, {"error": "not_found"}
-            if op == "get":
-                return 200, record.public_document()
-            if op == "upload":
-                return self._upload(record, headers, body)
-            if op == "publish":
-                return self._publish(record, body)
-            if op == "make_public":
-                return self._make_public(record)
-            if op == "collaborators":
-                return self._add_collaborator(record, body)
-            if op == "tags":
-                return self._append_tag(record, body)
-        return 404, {"error": "not_found"}
+            return getattr(self, f"_{op}")(record, _Request(headers, body, parts.query))
 
-    # -- endpoint implementations (caller holds the lock)
+    # -- endpoint implementations, one per operation, each called with the
+    # addressed record (None for create and search) and the request; the
+    # caller holds the lock
 
-    def _create(self, body: bytes) -> tuple[int, dict]:
-        document = _json_body(body)
+    def _create(self, _, request: _Request) -> tuple[int, dict]:
+        document = _json_body(request.body)
         if document is None:
             return 400, {"error": "validation", "message": "request body is not JSON"}
         title = document.get("title", "")
@@ -268,7 +272,7 @@ class MockService:
         self._next_id += 1
         record = _DepositionRecord(
             id=deposition_id,
-            doi=f"{self.config.doi_prefix}.{deposition_id}",
+            doi=f"{DOI_PREFIX}.{deposition_id}",
             title=title,
             description=str(document.get("description", "")),
             tags=[str(t) for t in document.get("tags", [])],
@@ -279,16 +283,13 @@ class MockService:
             private_intent=bool(document.get("private", False)),
         )
         self._depositions[deposition_id] = record
-        return 201, {
-            "id": record.id,
-            "doi": record.doi,
-            "doi_active": False,
-            "state": "draft",
-        }
+        return 201, record.status()
 
-    def _upload(
-        self, record: _DepositionRecord, headers: Mapping[str, str], body: bytes
-    ) -> tuple[int, dict]:
+    def _get(self, record: _DepositionRecord, _) -> tuple[int, dict]:
+        return 200, record.public_document()
+
+    def _upload(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
+        headers, body = request.headers, request.body
         if record.state != "draft":
             return 400, {"error": "validation", "message": "deposition is not a draft"}
         name = _header(headers, "X-File-Name")
@@ -311,38 +312,28 @@ class MockService:
         record.files.append(stored)
         return 201, asdict(stored)
 
-    def _publish(self, record: _DepositionRecord, body: bytes) -> tuple[int, dict]:
+    def _publish(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
         if record.state != "draft":
             return 400, {"error": "validation", "message": "deposition is not a draft"}
         if not record.files:
             return 400, {"error": "validation", "message": "cannot publish without files"}
-        document = _json_body(body) or {}
+        document = _json_body(request.body) or {}
         private = bool(document.get("private", False))
         record.state = "private" if private else "public"
         record.doi_active = not private
-        return 200, {
-            "id": record.id,
-            "doi": record.doi,
-            "doi_active": record.doi_active,
-            "state": record.state,
-        }
+        return 200, record.status()
 
-    def _make_public(self, record: _DepositionRecord) -> tuple[int, dict]:
+    def _make_public(self, record: _DepositionRecord, _) -> tuple[int, dict]:
         if record.state != "private":
             return 400, {"error": "validation", "message": "deposition is not private"}
         record.state = "public"
         record.doi_active = True
-        return 200, {
-            "id": record.id,
-            "doi": record.doi,
-            "doi_active": True,
-            "state": "public",
-        }
+        return 200, record.status()
 
-    def _search(self, query: dict[str, list[str]]) -> tuple[int, dict]:
+    def _search(self, _, request: _Request) -> tuple[int, dict]:
         if not self.config.can_search:
             return 501, {"error": "search_not_supported"}
-        tags = query.get("tag")
+        tags = parse_qs(request.query).get("tag")
         if not tags:
             return 400, {"error": "validation", "message": "tag query parameter required"}
         tag = tags[0]
@@ -354,10 +345,10 @@ class MockService:
         ]
         return 200, {"results": results}
 
-    def _add_collaborator(self, record: _DepositionRecord, body: bytes) -> tuple[int, dict]:
+    def _collaborators(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
         if record.state != "private":
             return 400, {"error": "validation", "message": "deposition is not private"}
-        document = _json_body(body)
+        document = _json_body(request.body)
         name = (document or {}).get("name")
         if not isinstance(name, str) or not name.strip():
             return 400, {"error": "validation", "message": "collaborator name required"}
@@ -368,10 +359,10 @@ class MockService:
         record.collaborators.append(name)
         return 200, {"count": len(record.collaborators)}
 
-    def _append_tag(self, record: _DepositionRecord, body: bytes) -> tuple[int, dict]:
+    def _tags(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
         if record.state != "draft":
             return 400, {"error": "validation", "message": "deposition is not a draft"}
-        document = _json_body(body)
+        document = _json_body(request.body)
         tag = (document or {}).get("tag")
         if not isinstance(tag, str) or not tag.strip():
             return 400, {"error": "validation", "message": "tag must be non-empty"}
@@ -380,25 +371,6 @@ class MockService:
         return 200, {"tags": list(record.tags)}
 
     # -- helpers
-
-    def _route(self, method: str, path: str) -> tuple[str | None, int | None]:
-        if path == "/api/v1/depositions":
-            if method == "POST":
-                return "create", None
-            if method == "GET":
-                return "search", None
-            return None, None
-        match = _ID_PATH.match(path)
-        if match is None:
-            return None, None
-        deposition_id = int(match.group(1))
-        subresource = match.group(2)
-        if subresource is None:
-            return ("get", deposition_id) if method == "GET" else (None, None)
-        if method != "POST":
-            return None, None
-        op = _SUBRESOURCE_OPS.get(subresource)
-        return (op, deposition_id) if op else (None, None)
 
     def _authorized(self, headers: Mapping[str, str]) -> bool:
         value = _header(headers, "Authorization") or ""
@@ -478,8 +450,14 @@ def _make_handler(service: MockService):
         protocol_version = "HTTP/1.1"
 
         def _dispatch(self):
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            length = (self.headers.get("Content-Length") or "0").strip()
+            if not (length.isascii() and length.isdigit()):
+                # The body cannot be framed, so the connection cannot go on.
+                self.close_connection = True
+                message = f"Content-Length {length!r} is not a non-negative integer"
+                self._send(400, {"error": "validation", "message": message})
+                return
+            body = self.rfile.read(int(length))
             try:
                 status, document = service.handle_request(
                     self.command, self.path, dict(self.headers.items()), body
@@ -488,6 +466,9 @@ def _make_handler(service: MockService):
                 # Close without responding; clients see a dropped connection.
                 self.close_connection = True
                 return
+            self._send(status, document)
+
+        def _send(self, status: int, document: dict) -> None:
             payload = json.dumps(document).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -7,19 +7,9 @@ service supports searching existing depositions). Transports are pluggable:
 directly to an in-process service registered under NAME, with no sockets
 involved.
 
-Endpoints, each a client operation unless noted:
-
-    POST {base}/api/v1/depositions                      create draft
-    POST {base}/api/v1/depositions/{id}/files           upload one file
-    POST {base}/api/v1/depositions/{id}/actions/publish publish draft
-    POST {base}/api/v1/depositions/{id}/actions/make_public
-    POST {base}/api/v1/depositions/{id}/collaborators
-    POST {base}/api/v1/depositions/{id}/tags            append one tag (draft only;
-                                                        no client operation)
-    GET  {base}/api/v1/depositions?tag=...              search (capability-gated)
-    GET  {base}/api/v1/depositions/{id}                 fetch full deposition
-
-Authentication is the header ``Authorization: token <TOKEN>``.
+The endpoints are the table :data:`ENDPOINTS`, which the client and the mock
+service both route by. Authentication is the header
+``Authorization: token <TOKEN>``.
 """
 
 from __future__ import annotations
@@ -34,16 +24,7 @@ from urllib.parse import quote, urlsplit
 
 import requests
 
-from .errors import (
-    AuthError,
-    CapabilityNotSupportedError,
-    ChecksumMismatchError,
-    NetworkError,
-    NotFoundError,
-    ProtocolError,
-    QuotaError,
-    ValidationError,
-)
+from .errors import CapabilityNotSupportedError, NetworkError, ProtocolError
 from .manifest import ManifestEntry
 from .vcs_info import AuthorRef
 
@@ -55,6 +36,19 @@ GET_RETRIES = 3
 RETRY_BACKOFF_SECONDS = 0.25
 #: Seconds an HTTP request may wait for the connection or for response bytes.
 HTTP_TIMEOUT_SECONDS = 30.0
+
+#: The protocol: operation name -> (method, path template). ``{id}`` stands
+#: for a deposition id; search takes its ``?tag=`` query on top of the path.
+ENDPOINTS: dict[str, tuple[str, str]] = {
+    "create": ("POST", "/api/v1/depositions"),
+    "upload": ("POST", "/api/v1/depositions/{id}/files"),
+    "publish": ("POST", "/api/v1/depositions/{id}/actions/publish"),
+    "make_public": ("POST", "/api/v1/depositions/{id}/actions/make_public"),
+    "collaborators": ("POST", "/api/v1/depositions/{id}/collaborators"),
+    "tags": ("POST", "/api/v1/depositions/{id}/tags"),
+    "search": ("GET", "/api/v1/depositions"),
+    "get": ("GET", "/api/v1/depositions/{id}"),
+}
 
 
 class DepositionState(Enum):
@@ -227,14 +221,7 @@ def transport_for(base_url: str):
 # ---------------------------------------------------------------------------
 # Client
 
-_STATUS_ERRORS = {
-    400: ValidationError,
-    401: AuthError,
-    404: NotFoundError,
-    413: QuotaError,
-    422: ChecksumMismatchError,
-    501: CapabilityNotSupportedError,
-}
+_STATUS_ERRORS = {cls.status: cls for cls in ProtocolError.__subclasses__() if cls.status}
 
 
 class RepositoryClient:
@@ -265,9 +252,7 @@ class RepositoryClient:
             ],
             "private": private,
         }
-        document = self._expect(
-            self._request("POST", "/api/v1/depositions", json_body=payload), 201
-        )
+        document = self._expect(self._request("create", json_body=payload), 201)
         return Deposition(
             id=document["id"],
             state=DepositionState(document["state"]),
@@ -291,8 +276,8 @@ class RepositoryClient:
         """
         document = self._expect(
             self._request(
-                "POST",
-                f"/api/v1/depositions/{deposition_id}/files",
+                "upload",
+                deposition_id,
                 headers={
                     "X-File-Name": entry.name,
                     "X-File-SHA256": entry.sha256,
@@ -312,31 +297,13 @@ class RepositoryClient:
     def publish_deposition(self, deposition_id: int, private: bool = False) -> PublicationResult:
         """Publish a draft: public (DOI goes live) or private (DOI stays
         reserved)."""
-        document = self._expect(
-            self._request(
-                "POST",
-                f"/api/v1/depositions/{deposition_id}/actions/publish",
-                json_body={"private": private},
-            ),
-            200,
-        )
-        return PublicationResult(
-            publication_id=document["id"],
-            doi=document["doi"],
-            doi_active=document["doi_active"],
+        return self._publication(
+            self._request("publish", deposition_id, json_body={"private": private})
         )
 
     def make_public(self, deposition_id: int) -> PublicationResult:
         """Flip a private deposition to public; the DOI string is unchanged."""
-        document = self._expect(
-            self._request("POST", f"/api/v1/depositions/{deposition_id}/actions/make_public"),
-            200,
-        )
-        return PublicationResult(
-            publication_id=document["id"],
-            doi=document["doi"],
-            doi_active=document["doi_active"],
-        )
+        return self._publication(self._request("make_public", deposition_id))
 
     def search_by_tag(self, tag: str) -> list[DepositionSummary]:
         """Find published depositions carrying ``tag`` exactly.
@@ -349,8 +316,7 @@ class RepositoryClient:
                 f"backend {self.profile.name!r} does not support searching"
             )
         document = self._expect(
-            self._request("GET", f"/api/v1/depositions?tag={quote(tag, safe='')}", retry=True),
-            200,
+            self._request("search", query=f"?tag={quote(tag, safe='')}"), 200
         )
         return [
             DepositionSummary(
@@ -361,9 +327,7 @@ class RepositoryClient:
 
     def get_deposition(self, deposition_id: int) -> Deposition:
         """Fetch the full server-side record, files included."""
-        document = self._expect(
-            self._request("GET", f"/api/v1/depositions/{deposition_id}", retry=True), 200
-        )
+        document = self._expect(self._request("get", deposition_id), 200)
         return Deposition(
             id=document["id"],
             state=DepositionState(document["state"]),
@@ -396,8 +360,8 @@ class RepositoryClient:
         updated count. Adding the same name twice is idempotent."""
         document = self._expect(
             self._request(
-                "POST",
-                f"/api/v1/depositions/{deposition_id}/collaborators",
+                "collaborators",
+                deposition_id,
                 json_body={"name": collaborator},
             ),
             200,
@@ -408,15 +372,16 @@ class RepositoryClient:
 
     def _request(
         self,
-        method: str,
-        path: str,
+        op: str,
+        deposition_id: int | None = None,
         *,
+        query: str = "",
         headers: Mapping[str, str] | None = None,
         body: bytes | IO[bytes] | None = None,
         json_body: dict | None = None,
-        retry: bool = False,
     ) -> TransportResponse:
-        url = self.profile.base_url.rstrip("/") + path
+        method, path = ENDPOINTS[op]
+        url = self.profile.base_url.rstrip("/") + path.format(id=deposition_id) + query
         request_headers = {"Authorization": f"token {self.profile.auth_token}"}
         if json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
@@ -424,7 +389,7 @@ class RepositoryClient:
         if headers:
             request_headers.update(headers)
 
-        attempts = 1 + (GET_RETRIES if retry else 0)
+        attempts = 1 + (GET_RETRIES if method == "GET" else 0)
         delay = self._retry_backoff
         failure: NetworkError | None = None
         for attempt in range(attempts):
@@ -446,6 +411,13 @@ class RepositoryClient:
             return response
         assert failure is not None
         raise failure
+
+    def _publication(self, response: TransportResponse) -> PublicationResult:
+        """Parse the status document that publish and make_public return."""
+        document = self._expect(response, 200)
+        return PublicationResult(
+            publication_id=document["id"], doi=document["doi"], doi_active=document["doi_active"]
+        )
 
     def _expect(self, response: TransportResponse, expected_status: int) -> dict:
         if response.status == expected_status:

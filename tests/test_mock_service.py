@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 
 import pytest
 import requests
@@ -9,7 +10,7 @@ import requests
 from geopub.errors import BindError, NetworkError
 from geopub.manifest import ManifestEntry
 from geopub.mock_service import Fault, MockServer, MockService, ServiceConfig
-from geopub.repo_protocol import BackendProfile, DepositionMeta, RepositoryClient
+from geopub.repo_protocol import ENDPOINTS, BackendProfile, DepositionMeta, RepositoryClient
 
 TOKEN = "test-token"
 AUTH = {"Authorization": f"token {TOKEN}"}
@@ -34,11 +35,14 @@ def http_sender(base_url: str):
     return send
 
 
+@pytest.fixture
+def service():
+    return MockService(ServiceConfig.figshare_like(per_file_limit=1024))
+
+
 @pytest.fixture(params=["in-process", "http"])
-def sender(request):
+def sender(request, service):
     """The same request sequences run directly and over real HTTP."""
-    config = ServiceConfig.figshare_like(per_file_limit=1024)
-    service = MockService(config)
     if request.param == "in-process":
         yield direct_sender(service)
     else:
@@ -264,6 +268,15 @@ class TestWireConformance:
         status, document = send("GET", "/api/v1/depositions?tag=x")
         assert (status, document) == (501, {"error": "search_not_supported"})
 
+    @pytest.mark.parametrize("op", list(ENDPOINTS))
+    def test_each_operation_routes_to_its_own_endpoint(self, sender, service, op):
+        service.inject_fault(Fault.http500(), on=op)
+        own_method, own_path = ENDPOINTS[op]
+        other_method = "GET" if own_method == "POST" else "POST"
+        for method, path in [*ENDPOINTS.values(), (other_method, own_path)]:
+            status, _ = sender(method, path.format(id=1))
+            assert (status == 500) == ((method, path) == (own_method, own_path)), (method, path)
+
 
 class TestAuth:
     @pytest.mark.parametrize(
@@ -294,6 +307,17 @@ class TestAuth:
             "POST", "/api/v1/depositions", {"Authorization": "token nope"}, _create_body()
         )
         assert (ok, bad) == (201, 401)
+
+
+class TestFaults:
+    def test_unknown_operation_rejected(self):
+        with pytest.raises(ValueError, match="uplaod"):
+            MockService().inject_fault(Fault.http500(), on="uplaod")
+
+    def test_every_operation_and_star_accepted(self):
+        service = MockService()
+        for on in [*ENDPOINTS, "*"]:
+            service.inject_fault(Fault.http500(), on=on)
 
 
 class TestServiceConfig:
@@ -349,6 +373,27 @@ class TestHttpServer:
                 MockServer(MockService(), port=first.port)
         finally:
             first.stop()
+
+    @pytest.mark.parametrize("length", ["-1", "-5", "abc"])
+    def test_bad_content_length_answered_400_and_closed(self, length):
+        server = MockServer(MockService())
+        server.start()
+        try:
+            # The timeout turns a handler that waits for a body into a failure.
+            with socket.create_connection((server.host, server.port), timeout=5) as conn:
+                conn.sendall(
+                    f"POST /api/v1/depositions HTTP/1.1\r\nHost: test\r\n"
+                    f"Authorization: token {TOKEN}\r\nContent-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                # Reading to the end checks that the server closed the connection.
+                while chunk := conn.recv(4096):
+                    reply += chunk
+        finally:
+            server.stop()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "validation"
 
     def test_drop_fault_over_http(self):
         service = MockService()

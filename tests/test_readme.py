@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its wire-protocol table
+lists the endpoints the code routes by."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from conftest import OrkneyTree
 
-from geopub.repo_protocol import unregister_inprocess_handler
+from geopub.repo_protocol import ENDPOINTS, unregister_inprocess_handler
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +28,11 @@ def test_library_example_runs(tmp_path, monkeypatch):
         exec(compile(match.group(1), str(README), "exec"), {})
     finally:
         unregister_inprocess_handler("demo")
+
+
+def test_wire_protocol_table_lists_the_endpoints():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Wire protocol\n(.*?)^## ", text, re.M | re.S)
+    assert match is not None, "no '## Wire protocol' section"
+    rows = re.findall(r"^\| `([A-Z]+) ([^`?]+)(?:\?[^`]*)?` \|", match.group(1), re.M)
+    assert sorted(rows) == sorted(ENDPOINTS.values())
