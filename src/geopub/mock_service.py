@@ -154,6 +154,8 @@ class _Request(NamedTuple):
     headers: Mapping[str, str]
     body: bytes
     query: str
+    #: The body's sha256 hex digest for an upload, and "" for other requests.
+    sha256: str
 
 
 class MockService:
@@ -251,11 +253,14 @@ class MockService:
         if op is None:
             return 404, {"error": "not_found"}
 
+        # Hashing a large upload takes long; other requests must not wait for it.
+        sha256 = hashlib.sha256(body).hexdigest() if op == "upload" else ""
+        request = _Request(headers, body, parts.query, sha256)
         with self._lock:
             record = self._depositions.get(deposition_id)
             if record is None and deposition_id is not None:
                 return 404, {"error": "not_found"}
-            return getattr(self, f"_{op}")(record, _Request(headers, body, parts.query))
+            return getattr(self, f"_{op}")(record, request)
 
     # -- endpoint implementations, one per operation, each called with the
     # addressed record (None for create and search) and the request; the
@@ -298,7 +303,7 @@ class MockService:
             return 400, {"error": "validation", "message": "X-File-Name header required"}
         if any(f.name == name for f in record.files):
             return 400, {"error": "validation", "message": f"file {name!r} already uploaded"}
-        actual = hashlib.sha256(body).hexdigest()
+        actual = request.sha256
         if declared is None or declared.lower() != actual:
             return 422, {"error": "checksum"}
         size = len(body)
@@ -448,6 +453,10 @@ class MockServer:
 def _make_handler(service: MockService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # The headers and the body go out in two writes. With Nagle's
+        # algorithm the body would wait for the client's delayed ACK of the
+        # headers, about 40 ms on every keep-alive request.
+        disable_nagle_algorithm = True
 
         def _dispatch(self):
             length = (self.headers.get("Content-Length") or "0").strip()
@@ -476,8 +485,9 @@ def _make_handler(service: MockService):
             self.end_headers()
             self.wfile.write(payload)
 
-        do_GET = _dispatch
-        do_POST = _dispatch
+        # Every method reaches the service, which answers a request that no
+        # endpoint matches with 404, as the in-process transport does.
+        do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _dispatch
 
         def log_message(self, fmt, *args):
             logger.debug("%s %s", self.address_string(), fmt % args)

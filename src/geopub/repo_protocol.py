@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Callable, Mapping
 from urllib.parse import quote, urlsplit
-
-import requests
 
 from .errors import CapabilityNotSupportedError, NetworkError, ProtocolError
 from .manifest import ManifestEntry
@@ -167,10 +166,27 @@ def unregister_inprocess_handler(name: str) -> None:
 
 
 class HttpTransport:
-    """Real HTTP transport on a shared :class:`requests.Session`."""
+    """Real HTTP transport on a shared :class:`requests.Session`.
 
-    def __init__(self):
-        self._session = requests.Session()
+    The environment is read once, for ``base_url``: its proxies (``NO_PROXY``
+    honoured) and the CA bundle of ``REQUESTS_CA_BUNDLE`` or
+    ``CURL_CA_BUNDLE``. ``~/.netrc`` is not read, so it cannot replace the
+    token header with other credentials.
+    """
+
+    def __init__(self, base_url: str):
+        # Imported here, so that the mock server and ``import geopub`` do not
+        # load an HTTP client they never use.
+        import requests
+
+        session = requests.Session()
+        session.trust_env = False
+        session.proxies = requests.utils.get_environ_proxies(base_url)
+        session.verify = (
+            os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+        )
+        self._session = session
+        self._request_error = requests.RequestException
 
     def request(
         self, method: str, url: str, headers: Mapping[str, str], body: bytes | IO[bytes] | None
@@ -179,7 +195,7 @@ class HttpTransport:
             response = self._session.request(
                 method, url, headers=dict(headers), data=body, timeout=HTTP_TIMEOUT_SECONDS
             )
-        except requests.RequestException as exc:
+        except self._request_error as exc:
             raise NetworkError(f"{method} {url}: {exc}") from exc
         return TransportResponse(status=response.status_code, body=response.content)
 
@@ -212,7 +228,7 @@ def transport_for(base_url: str):
     """Pick a transport implementation from the URL scheme."""
     scheme = urlsplit(base_url).scheme
     if scheme in ("http", "https"):
-        return HttpTransport()
+        return HttpTransport(base_url)
     if scheme == "mock":
         return InProcessTransport()
     raise ValueError(f"unsupported URL scheme in {base_url!r}")

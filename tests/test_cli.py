@@ -320,11 +320,10 @@ class TestConfigPrecedenceThroughCli:
         assert result.exit_code == 0, result.stderr
 
 
-def test_cli_import_loads_no_mock_server():
-    code = (
-        "import sys, geopub.cli\n"
-        "print(sorted({'geopub.mock_service', 'http.server'} & set(sys.modules)))\n"
-    )
+def _loaded_by_import(module: str, names: set[str]) -> str:
+    """Which of ``names`` a fresh interpreter has loaded after importing
+    ``module``, as the printed sorted list."""
+    code = f"import sys, {module}\nprint(sorted({names!r} & set(sys.modules)))\n"
     package_root = Path(geopub.__file__).resolve().parents[1]
     path = [str(package_root), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -332,4 +331,12 @@ def test_cli_import_loads_no_mock_server():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout == "[]\n"
+    return completed.stdout
+
+
+def test_cli_import_loads_no_mock_server():
+    assert _loaded_by_import("geopub.cli", {"geopub.mock_service", "http.server"}) == "[]\n"
+
+
+def test_mock_server_import_loads_no_http_client():
+    assert _loaded_by_import("geopub.mock_service", {"requests"}) == "[]\n"

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import socket
+import statistics
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 import requests
 
+from geopub import mock_service
 from geopub.errors import BindError, NetworkError
 from geopub.manifest import ManifestEntry
 from geopub.mock_service import Fault, MockServer, MockService, ServiceConfig
@@ -277,6 +283,12 @@ class TestWireConformance:
             status, _ = sender(method, path.format(id=1))
             assert (status == 500) == ((method, path) == (own_method, own_path)), (method, path)
 
+    @pytest.mark.parametrize("method", ["PUT", "PATCH", "DELETE"])
+    def test_other_methods_not_found_and_counted(self, sender, service, method):
+        status, document = sender(method, "/api/v1/depositions", body=_create_body())
+        assert (status, document) == (404, {"error": "not_found"})
+        assert service.request_count == 1
+
 
 class TestAuth:
     @pytest.mark.parametrize(
@@ -395,6 +407,28 @@ class TestHttpServer:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert json.loads(body)["error"] == "validation"
 
+    def test_keep_alive_get_has_no_delayed_ack_floor(self):
+        server = MockServer(MockService())
+        server.start()
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        latencies = []
+        try:
+            connection.request("POST", "/api/v1/depositions", body=_create_body(), headers=AUTH)
+            assert connection.getresponse().read()
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/api/v1/depositions/1", headers=AUTH)
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+            server.stop()
+        # A response body held back by Nagle's algorithm until the client's
+        # delayed ACK arrives costs about 40 ms.
+        assert statistics.median(latencies) < 0.020
+
     def test_drop_fault_over_http(self):
         service = MockService()
         service.inject_fault(Fault.drop(), on="create")
@@ -429,6 +463,49 @@ class TestHttpServer:
             assert client.search_by_tag("t")[0].id == deposition.id
         finally:
             server.stop()
+
+
+class TestLocking:
+    def test_get_answered_while_an_upload_hashes(self, service, monkeypatch):
+        send = direct_sender(service)
+        send("POST", "/api/v1/depositions", body=_create_body())
+        content = b"payload"
+        digest = hashlib.sha256(content).hexdigest()
+        hashing, release = threading.Event(), threading.Event()
+
+        def slow_sha256(data):
+            hashing.set()
+            release.wait(timeout=10)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(mock_service, "hashlib", SimpleNamespace(sha256=slow_sha256))
+        uploaded, fetched = [], []
+        upload = threading.Thread(
+            target=lambda: uploaded.append(
+                send(
+                    "POST",
+                    "/api/v1/depositions/1/files",
+                    headers={"X-File-Name": "p.bin", "X-File-SHA256": digest},
+                    body=content,
+                )
+            )
+        )
+        get = threading.Thread(
+            target=lambda: fetched.append(send("GET", "/api/v1/depositions/1"))
+        )
+        upload.start()
+        try:
+            assert hashing.wait(timeout=10)
+            get.start()
+            get.join(timeout=2)
+            assert not get.is_alive(), "the get waited for the upload's hash"
+        finally:
+            release.set()
+            upload.join(timeout=10)
+        get.join(timeout=10)
+        assert not (upload.is_alive() or get.is_alive())
+        assert fetched[0][0] == 200
+        assert uploaded[0][0] == 201
 
 
 class TestStandaloneProcess:

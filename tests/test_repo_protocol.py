@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import socket
 import threading
 
 import pytest
+import requests.utils
+
+from test_orchestrator import _count_calls
 
 from geopub.errors import (
     AuthError,
@@ -15,7 +19,7 @@ from geopub.errors import (
     ValidationError,
 )
 from geopub.manifest import ManifestEntry
-from geopub.mock_service import Fault, ServiceConfig
+from geopub.mock_service import Fault, MockServer, MockService, ServiceConfig
 from geopub.repo_protocol import (
     BackendProfile,
     DepositionMeta,
@@ -307,6 +311,61 @@ class TestRetryPolicy:
     def test_slow_start_still_succeeds(self, backend):
         backend.service.inject_fault(Fault.slow_start(20), on="create")
         assert backend.client().create_deposition(META).id == 1
+
+
+class TestHttpEnvironment:
+    """What the HTTP client takes from the environment, over a real server."""
+
+    @pytest.fixture
+    def server(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        server = MockServer(MockService(ServiceConfig(required_token="test-token")))
+        server.start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def _client(base_url: str) -> RepositoryClient:
+        return RepositoryClient(BackendProfile("figshare-like", base_url, True, "test-token"))
+
+    @staticmethod
+    def _closed_port_url() -> str:
+        """A URL nothing listens at, so a direct request is refused at once."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        return f"http://127.0.0.1:{port}"
+
+    def test_netrc_entry_does_not_replace_token(self, server, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login someone password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        assert self._client(server.base_url).create_deposition(META).id == 1
+
+    def test_proxy_from_environment_is_used(self, server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", server.base_url)
+        client = self._client(self._closed_port_url())
+        assert client.create_deposition(META).id == 1
+        assert server.service.request_count == 1
+
+    def test_no_proxy_goes_direct(self, server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", server.base_url)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        client = self._client(self._closed_port_url())
+        with pytest.raises(NetworkError):
+            client.create_deposition(META)
+        assert server.service.request_count == 0
+
+    def test_proxy_environment_resolved_once_per_client(self, server, monkeypatch):
+        resolutions = _count_calls(monkeypatch, requests.utils, "should_bypass_proxies")
+        client = self._client(server.base_url)
+        deposition = client.create_deposition(META)
+        for _ in range(9):
+            client.get_deposition(deposition.id)
+        assert server.service.request_count == 10
+        assert len(resolutions) == 1
 
 
 class TestDoiImmutability:
