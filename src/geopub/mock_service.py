@@ -12,16 +12,20 @@ Faults can be injected per endpoint to exercise client retry behaviour.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
+import os
 import re
+import signal
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import BinaryIO, Mapping, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 import click
@@ -33,6 +37,8 @@ logger = logging.getLogger(__name__)
 
 MB = 1024 * 1024
 GB = 1024 * MB
+#: Bytes of an upload read and hashed at a time.
+CHUNK_SIZE = MB
 #: Every DOI the mock reserves is this prefix, a dot and the deposition id.
 DOI_PREFIX = "10.5072/geopub"
 
@@ -152,10 +158,12 @@ class _Request(NamedTuple):
     """What an endpoint implementation reads of a request besides its route."""
 
     headers: Mapping[str, str]
-    body: bytes
     query: str
-    #: The body's sha256 hex digest for an upload, and "" for other requests.
-    sha256: str
+    #: The JSON body; b"" for an upload, whose bytes are hashed and not kept.
+    body: bytes = b""
+    #: An upload's sha256 hex digest and size, "" and 0 for other requests.
+    sha256: str = ""
+    size: int = 0
 
 
 class MockService:
@@ -209,6 +217,8 @@ class MockService:
     # -- persistence (optional snapshot for the standalone server)
 
     def save_snapshot(self, path: str | Path) -> None:
+        """Write the state to ``path`` through a temporary file, so an
+        interrupted write leaves the previous snapshot whole."""
         with self._lock:
             state = {
                 "next_id": self._next_id,
@@ -216,7 +226,15 @@ class MockService:
                     {**asdict(record)} for record in self._depositions.values()
                 ],
             }
-        Path(path).write_text(json.dumps(state, indent=2), encoding="utf-8")
+        path = Path(path)
+        fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(state, handle, indent=2)
+            os.replace(temp_name, path)
+        except BaseException:
+            os.unlink(temp_name)
+            raise
 
     def load_snapshot(self, path: str | Path) -> None:
         state = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -230,9 +248,13 @@ class MockService:
     # -- request handling
 
     def handle_request(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes
+        self, method: str, path: str, headers: Mapping[str, str], body: bytes | BinaryIO
     ) -> tuple[int, dict]:
-        """Serve one protocol request; returns (status, response document)."""
+        """Serve one protocol request; returns (status, response document).
+
+        ``body`` is bytes or a binary reader. An upload is hashed as it is
+        read and never held; what is left unread is the caller's to discard.
+        """
         parts = urlsplit(path)
         op, deposition_id = _route(method, parts.path)
 
@@ -253,9 +275,16 @@ class MockService:
         if op is None:
             return 404, {"error": "not_found"}
 
-        # Hashing a large upload takes long; other requests must not wait for it.
-        sha256 = hashlib.sha256(body).hexdigest() if op == "upload" else ""
-        request = _Request(headers, body, parts.query, sha256)
+        reader = io.BytesIO(body) if isinstance(body, bytes) else body
+        if op == "upload":
+            # Hashing a large upload takes long; other requests must not wait for it.
+            digest, size = hashlib.sha256(), 0
+            while chunk := reader.read(CHUNK_SIZE):
+                digest.update(chunk)
+                size += len(chunk)
+            request = _Request(headers, parts.query, sha256=digest.hexdigest(), size=size)
+        else:
+            request = _Request(headers, parts.query, reader.read())
         with self._lock:
             record = self._depositions.get(deposition_id)
             if record is None and deposition_id is not None:
@@ -294,7 +323,7 @@ class MockService:
         return 200, record.public_document()
 
     def _upload(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
-        headers, body = request.headers, request.body
+        headers = request.headers
         if record.state != "draft":
             return 400, {"error": "validation", "message": "deposition is not a draft"}
         name = _header(headers, "X-File-Name")
@@ -306,7 +335,7 @@ class MockService:
         actual = request.sha256
         if declared is None or declared.lower() != actual:
             return 422, {"error": "checksum"}
-        size = len(body)
+        size = request.size
         if size > self.config.per_file_limit:
             return 413, {"error": "quota"}
         if record.private_intent and record.stored_bytes() + size > self.config.private_quota:
@@ -450,6 +479,29 @@ class MockServer:
         self._httpd.server_close()
 
 
+class _BodyReader:
+    """The ``Content-Length`` bytes of one request body on a connection's
+    stream; ``len()`` is the declared length."""
+
+    def __init__(self, stream: BinaryIO, length: int):
+        self._stream = stream
+        self._length = self._left = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def read(self, size: int = -1) -> bytes:
+        if size < 0 or size > self._left:
+            size = self._left
+        data = self._stream.read(size)
+        self._left -= len(data)
+        return data
+
+    def discard_rest(self) -> None:
+        while self._left and self.read(CHUNK_SIZE):
+            pass
+
+
 def _make_handler(service: MockService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -466,7 +518,7 @@ def _make_handler(service: MockService):
                 message = f"Content-Length {length!r} is not a non-negative integer"
                 self._send(400, {"error": "validation", "message": message})
                 return
-            body = self.rfile.read(int(length))
+            body = _BodyReader(self.rfile, int(length))
             try:
                 status, document = service.handle_request(
                     self.command, self.path, dict(self.headers.items()), body
@@ -475,6 +527,9 @@ def _make_handler(service: MockService):
                 # Close without responding; clients see a dropped connection.
                 self.close_connection = True
                 return
+            # Closing a connection with unread bytes would reset it, and the
+            # next request on it would start inside this body.
+            body.discard_rest()
             self._send(status, document)
 
         def _send(self, status: int, document: dict) -> None:
@@ -526,6 +581,14 @@ def main(port: int, profile: str, snapshot: Path | None) -> None:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
     click.echo(f"{profile} mock service listening on {server.base_url}", err=True)
+
+    def interrupt(signum, frame):
+        # Raised in the main thread, which leaves the serve loop; calling
+        # shutdown() here would wait for that same loop forever.
+        raise KeyboardInterrupt
+
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

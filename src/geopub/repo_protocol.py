@@ -14,14 +14,18 @@ service both route by. Authentication is the header
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
+import select
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Callable, Mapping
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote, unquote, urlsplit
 
 from .errors import CapabilityNotSupportedError, NetworkError, ProtocolError
 from .manifest import ManifestEntry
@@ -35,6 +39,8 @@ GET_RETRIES = 3
 RETRY_BACKOFF_SECONDS = 0.25
 #: Seconds an HTTP request may wait for the connection or for response bytes.
 HTTP_TIMEOUT_SECONDS = 30.0
+#: Bytes of a file body sent per write.
+HTTP_BLOCKSIZE = 1024 * 1024
 
 #: The protocol: operation name -> (method, path template). ``{id}`` stands
 #: for a deposition id; search takes its ``?tag=`` query on top of the path.
@@ -149,8 +155,11 @@ class TransportResponse:
             raise ProtocolError(f"malformed response body: {exc}", status=self.status) from exc
 
 
-#: (method, path_with_query, headers, body) -> (status, payload dict)
-InProcessHandler = Callable[[str, str, Mapping[str, str], bytes], "tuple[int, dict]"]
+#: (method, path_with_query, headers, body) -> (status, payload dict); the body
+#: is bytes or a binary file object, handed over unread.
+InProcessHandler = Callable[
+    [str, str, Mapping[str, str], "bytes | IO[bytes]"], "tuple[int, dict]"
+]
 
 _INPROCESS_REGISTRY: dict[str, InProcessHandler] = {}
 
@@ -166,38 +175,116 @@ def unregister_inprocess_handler(name: str) -> None:
 
 
 class HttpTransport:
-    """Real HTTP transport on a shared :class:`requests.Session`.
+    """HTTP/1.1 transport on :mod:`http.client`: one keep-alive connection per
+    thread, so one transport serves any number of threads.
 
-    The environment is read once, for ``base_url``: its proxies (``NO_PROXY``
-    honoured) and the CA bundle of ``REQUESTS_CA_BUNDLE`` or
-    ``CURL_CA_BUNDLE``. ``~/.netrc`` is not read, so it cannot replace the
-    token header with other credentials.
+    The environment is read once, for ``base_url``: the scheme's proxy, else
+    ``ALL_PROXY`` (skipped for a host that ``NO_PROXY`` names), and for
+    ``https`` the CA bundle of ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``,
+    else the system's trust store. ``~/.netrc`` is not read, so it cannot
+    replace the token header with other credentials. A request is sent once;
+    retrying is the caller's decision.
     """
 
     def __init__(self, base_url: str):
-        # Imported here, so that the mock server and ``import geopub`` do not
-        # load an HTTP client they never use.
-        import requests
+        # Imported here, so that ``import geopub`` and runs that send nothing
+        # do not load an HTTP client.
+        import http.client
+        import urllib.request
 
-        session = requests.Session()
-        session.trust_env = False
-        session.proxies = requests.utils.get_environ_proxies(base_url)
-        session.verify = (
-            os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-        )
-        self._session = session
-        self._request_error = requests.RequestException
+        target = urlsplit(base_url)
+        host, port = target.hostname, target.port
+        proxies = urllib.request.getproxies_environment()
+        proxy = proxies.get(target.scheme) or proxies.get("all")
+        if proxy and urllib.request.proxy_bypass_environment(target.netloc, proxies):
+            proxy = None
+        #: Headers every request carries, and whether its target is the absolute URL.
+        self._proxy_headers: dict[str, str] = {}
+        self._absolute_target = False
+        tunnel: tuple | None = None
+        if proxy:
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            auth = {}
+            if proxy_url.username is not None:
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    credentials.encode("utf-8")
+                ).decode("ascii")
+            if target.scheme == "https":
+                tunnel = (host, port, auth)
+            else:
+                self._proxy_headers, self._absolute_target = auth, True
+            host, port = proxy_url.hostname, proxy_url.port or 80
+
+        options = {"timeout": HTTP_TIMEOUT_SECONDS, "blocksize": HTTP_BLOCKSIZE}
+        if target.scheme == "https":
+            import ssl
+
+            cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            options["context"] = ssl.create_default_context(cafile=cafile or None)
+            connection_class = http.client.HTTPSConnection
+        else:
+            connection_class = http.client.HTTPConnection
+
+        def connect() -> http.client.HTTPConnection:
+            connection = connection_class(host, port, **options)
+            if tunnel is not None:
+                connection.set_tunnel(*tunnel)
+            return connection
+
+        self._connect = connect
+        self._errors = (OSError, http.client.HTTPException)
+        self._local = threading.local()
+        # Every connection opened, so that the sockets of all threads are
+        # closed when the transport is.
+        self._connections: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._connections)
 
     def request(
         self, method: str, url: str, headers: Mapping[str, str], body: bytes | IO[bytes] | None
     ) -> TransportResponse:
+        headers = {**self._proxy_headers, **headers}
+        if body is not None and not isinstance(body, bytes):
+            # Without a length http.client sends a file chunked.
+            position = body.tell()
+            headers["Content-Length"] = str(body.seek(0, os.SEEK_END) - position)
+            body.seek(position)
+        if self._absolute_target:
+            target = url
+        else:
+            parts = urlsplit(url)
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        connection = self._connection()
         try:
-            response = self._session.request(
-                method, url, headers=dict(headers), data=body, timeout=HTTP_TIMEOUT_SECONDS
-            )
-        except self._request_error as exc:
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+            return TransportResponse(status=response.status, body=response.read())
+        except self._errors as exc:
+            connection.close()
             raise NetworkError(f"{method} {url}: {exc}") from exc
-        return TransportResponse(status=response.status_code, body=response.content)
+
+    def _connection(self):
+        """This thread's connection; one the server has closed is reopened."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            self._connections.append(connection)
+        elif connection.sock is not None and _readable(connection.sock):
+            # An idle keep-alive socket is readable only once the server has
+            # closed it; the next request opens a new one.
+            connection.close()
+        return connection
+
+
+def _close_all(connections: list) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _readable(sock) -> bool:
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 class InProcessTransport:
@@ -211,14 +298,8 @@ class InProcessTransport:
         if handler is None:
             raise NetworkError(f"no in-process service registered as {parts.netloc!r}")
         path = parts.path + (f"?{parts.query}" if parts.query else "")
-        if body is None:
-            payload = b""
-        elif isinstance(body, bytes):
-            payload = body
-        else:
-            payload = body.read()
         try:
-            status, document = handler(method, path, headers, payload)
+            status, document = handler(method, path, headers, b"" if body is None else body)
         except ConnectionError as exc:
             raise NetworkError(f"{method} {url}: connection dropped") from exc
         return TransportResponse(status=status, body=json.dumps(document).encode("utf-8"))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -14,7 +15,8 @@ from conftest import Backend
 import geopub
 from geopub.cli import main
 from geopub.config import token_env_var
-from geopub.mock_service import ServiceConfig
+from geopub.mock_service import MockServer, MockService, ServiceConfig
+from geopub.repo_protocol import BackendProfile
 
 
 @pytest.fixture
@@ -320,23 +322,43 @@ class TestConfigPrecedenceThroughCli:
         assert result.exit_code == 0, result.stderr
 
 
-def _loaded_by_import(module: str, names: set[str]) -> str:
-    """Which of ``names`` a fresh interpreter has loaded after importing
-    ``module``, as the printed sorted list."""
-    code = f"import sys, {module}\nprint(sorted({names!r} & set(sys.modules)))\n"
+def _fresh_python(code: str, *args: str, env: dict[str, str] | None = None):
+    """Run ``code`` in a fresh interpreter in which ``requests`` cannot be
+    imported, as on an install that has only geopub's dependencies."""
     package_root = Path(geopub.__file__).resolve().parents[1]
     path = [str(package_root), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    completed = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = 'import sys\nsys.modules["requests"] = None\n' + code
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
-    assert completed.returncode == 0, completed.stderr
-    return completed.stdout
 
 
 def test_cli_import_loads_no_mock_server():
-    assert _loaded_by_import("geopub.cli", {"geopub.mock_service", "http.server"}) == "[]\n"
+    completed = _fresh_python(
+        "import geopub.cli\n"
+        'print(sorted({"geopub.mock_service", "http.server"} & set(sys.modules)))\n'
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[]\n"
 
 
-def test_mock_server_import_loads_no_http_client():
-    assert _loaded_by_import("geopub.mock_service", {"requests"}) == "[]\n"
+def test_publish_software_runs_without_requests(source_tree, tmp_path):
+    service = MockService()
+    server = MockServer(service)
+    server.start()
+    try:
+        backend = SimpleNamespace(profile=BackendProfile("figshare-like", server.base_url, True))
+        completed = _fresh_python(
+            "import geopub.mock_service\nfrom geopub.cli import main\nmain()\n",
+            "publish",
+            "software",
+            "--source",
+            str(source_tree),
+            env=cli_env(tmp_path, backend),
+        )
+    finally:
+        server.stop()
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "Publication ID: 1\nDOI: 10.5072/geopub.1\n"
+    assert service.deposition_record(1)["state"] == "public"

@@ -3,14 +3,17 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 from geopub import mock_service
 from geopub.errors import BindError, NetworkError
@@ -32,11 +35,18 @@ def direct_sender(service: MockService):
 
 
 def http_sender(base_url: str):
+    address = urlsplit(base_url)
+
     def send(method, path, headers=None, body=b""):
         merged = dict(AUTH)
         merged.update(headers or {})
-        response = requests.request(method, base_url + path, headers=merged, data=body, timeout=10)
-        return response.status_code, response.json()
+        connection = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+        try:
+            connection.request(method, path, body=body, headers=merged)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
 
     return send
 
@@ -473,12 +483,20 @@ class TestLocking:
         digest = hashlib.sha256(content).hexdigest()
         hashing, release = threading.Event(), threading.Event()
 
-        def slow_sha256(data):
-            hashing.set()
-            release.wait(timeout=10)
-            return hashlib.sha256(data)
+        class SlowSha256:
+            """An incremental sha256 whose first ``update()`` blocks."""
 
-        monkeypatch.setattr(mock_service, "hashlib", SimpleNamespace(sha256=slow_sha256))
+            def __init__(self):
+                self._digest = hashlib.sha256()
+                self.hexdigest = self._digest.hexdigest
+
+            def update(self, data):
+                if not hashing.is_set():
+                    hashing.set()
+                    release.wait(timeout=10)
+                self._digest.update(data)
+
+        monkeypatch.setattr(mock_service, "hashlib", SimpleNamespace(sha256=SlowSha256))
         uploaded, fetched = [], []
         upload = threading.Thread(
             target=lambda: uploaded.append(
@@ -509,13 +527,8 @@ class TestLocking:
 
 
 class TestStandaloneProcess:
-    def test_serves_snapshot_and_shuts_down(self, tmp_path):
-        import signal
-        import socket
-        import subprocess
-        import sys
-        import time
-
+    @pytest.mark.parametrize("signal_name", ["SIGINT", "SIGTERM"])
+    def test_serves_snapshot_and_shuts_down(self, tmp_path, signal_name):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -534,29 +547,35 @@ class TestStandaloneProcess:
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            # As in a background job of a non-interactive shell.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
         )
         try:
-            base = f"http://127.0.0.1:{port}"
             deadline = time.time() + 10
             while True:
+                connection = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
                 try:
-                    response = requests.post(
-                        base + "/api/v1/depositions",
-                        headers=AUTH,
-                        data=_create_body(),
-                        timeout=2,
+                    connection.request(
+                        "POST", "/api/v1/depositions", body=_create_body(), headers=AUTH
                     )
+                    response = connection.getresponse()
+                    document = json.loads(response.read())
                     break
-                except requests.ConnectionError:
+                except OSError:
                     assert time.time() < deadline, "server did not come up"
                     time.sleep(0.05)
-            assert response.status_code == 201
-            assert response.json()["id"] == 1
+                finally:
+                    connection.close()
+            assert response.status == 201
+            assert document["id"] == 1
+            process.send_signal(getattr(signal, signal_name))
+            assert process.wait(timeout=10) == 0
         finally:
-            process.send_signal(signal.SIGINT)
-            process.wait(timeout=10)
+            process.kill()
+            process.communicate()
         state = json.loads(snapshot.read_text())
         assert state["depositions"][0]["id"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
 class TestQuotaAccounting:
