@@ -1,10 +1,9 @@
 """In-memory reference implementation of the deposition protocol.
 
 The service is a plain state machine behind :meth:`MockService.handle_request`
-and can be driven three ways: directly, through the ``mock://`` in-process
-transport, or over real HTTP via :class:`MockServer` (also installed as the
-``geopub-mock`` command). All three share the same handler, so wire behaviour
-is identical.
+and can be driven two ways: directly, or over real HTTP via :class:`MockServer`
+(also installed as the ``geopub-mock`` command), whose front-end calls the
+same handler.
 
 Faults can be injected per endpoint to exercise client retry behaviour.
 """
@@ -44,7 +43,8 @@ DOI_PREFIX = "10.5072/geopub"
 
 
 class ConnectionDropped(ConnectionError):
-    """Raised by a Drop fault; transports surface it as a network failure."""
+    """Raised by a Drop fault; the HTTP front-end then closes the connection
+    without a response."""
 
 
 class FaultKind(Enum):
@@ -180,12 +180,6 @@ class MockService:
         self._depositions: dict[int, _DepositionRecord] = {}
         self._next_id = 1
         self._faults: list[tuple[Fault, str]] = []
-
-    # -- wiring
-
-    def register_inprocess(self, name: str) -> str:
-        """Expose this service at ``mock://name``; returns that base URL."""
-        return repo_protocol.register_inprocess_handler(name, self.handle_request)
 
     # -- test and operator conveniences
 
@@ -393,17 +387,6 @@ class MockService:
         record.collaborators.append(name)
         return 200, {"count": len(record.collaborators)}
 
-    def _tags(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
-        if record.state != "draft":
-            return 400, {"error": "validation", "message": "deposition is not a draft"}
-        document = _json_body(request.body)
-        tag = (document or {}).get("tag")
-        if not isinstance(tag, str) or not tag.strip():
-            return 400, {"error": "validation", "message": "tag must be non-empty"}
-        if tag not in record.tags:
-            record.tags.append(tag)
-        return 200, {"tags": list(record.tags)}
-
     # -- helpers
 
     def _authorized(self, headers: Mapping[str, str]) -> bool:
@@ -438,8 +421,9 @@ def _json_body(body: bytes):
 # Standalone HTTP server
 
 
-#: Seconds between the serve loop's shutdown checks, so ``stop()`` returns fast.
-_POLL_INTERVAL = 0.05
+#: Seconds between the serve loop's shutdown checks: ``stop()`` waits up to
+#: this long, and an idle server wakes this often.
+_POLL_INTERVAL = 0.005
 
 
 class MockServer:
@@ -541,7 +525,7 @@ def _make_handler(service: MockService):
             self.wfile.write(payload)
 
         # Every method reaches the service, which answers a request that no
-        # endpoint matches with 404, as the in-process transport does.
+        # endpoint matches with 404.
         do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _dispatch
 
         def log_message(self, fmt, *args):

@@ -212,10 +212,12 @@ def publish_data(
     """Publish a project's complete provenance, as planned by
     :func:`plan_data`.
 
-    All files are checksummed before any network traffic. On an upload
+    All files are checksummed before any network traffic, and after the
+    client is made, so a profile it rejects costs no hashing. On an upload
     failure the draft deposition is abandoned (its id is logged for manual
     cleanup) and the error propagates.
     """
+    client = client or RepositoryClient(profile)
     manifest = plan_data(
         project_path,
         mesh_path,
@@ -223,7 +225,7 @@ def publish_data(
         description=description,
         related_software_doi=related_software_doi,
     )
-    return _deposit(client or RepositoryClient(profile), manifest, private=private)
+    return _deposit(client, manifest, private=private)
 
 
 def publish_software(
@@ -243,15 +245,16 @@ def publish_software(
     of the version makes it public, so the returned DOI is active. A given
     cache is locked for the whole run. Dirty working trees are publishable;
     their version tag carries ``-dirty-`` and the digest of their tracked
-    files, and a warning is emitted.
+    files, and a warning is emitted. The client is made before the tree is
+    read, so a profile it rejects costs no hashing.
     """
+    client = client or RepositoryClient(profile)
     version = detect_version(source_dir)
     if version.dirty:
         logger.warning(
             "working tree %s is dirty (uncommitted changes); publishing anyway",
             version.source_dir,
         )
-    client = client or RepositoryClient(profile)
 
     with cache.lock() if cache is not None else nullcontext():
         deposition = _find_published(profile, client, cache, version)

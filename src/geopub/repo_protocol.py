@@ -2,10 +2,8 @@
 
 The protocol is JSON over HTTP. A backend is described by a
 :class:`BackendProfile` whose capabilities differ (notably: whether the
-service supports searching existing depositions). Transports are pluggable:
-``http(s)://`` URLs go over the network, ``mock://NAME`` URLs dispatch
-directly to an in-process service registered under NAME, with no sockets
-involved.
+service supports searching existing depositions). Requests go over HTTP or
+HTTPS, through :class:`HttpTransport`.
 
 The endpoints are the table :data:`ENDPOINTS`, which the client and the mock
 service both route by. Authentication is the header
@@ -24,10 +22,10 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Callable, Mapping
+from typing import IO, Mapping
 from urllib.parse import quote, unquote, urlsplit
 
-from .errors import CapabilityNotSupportedError, NetworkError, ProtocolError
+from .errors import CapabilityNotSupportedError, ConfigError, NetworkError, ProtocolError
 from .manifest import ManifestEntry
 from .vcs_info import AuthorRef
 
@@ -50,7 +48,6 @@ ENDPOINTS: dict[str, tuple[str, str]] = {
     "publish": ("POST", "/api/v1/depositions/{id}/actions/publish"),
     "make_public": ("POST", "/api/v1/depositions/{id}/actions/make_public"),
     "collaborators": ("POST", "/api/v1/depositions/{id}/collaborators"),
-    "tags": ("POST", "/api/v1/depositions/{id}/tags"),
     "search": ("GET", "/api/v1/depositions"),
     "get": ("GET", "/api/v1/depositions/{id}"),
 }
@@ -140,7 +137,7 @@ def author_service_id(author: AuthorRef, profile_name: str) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Transports
+# Transport
 
 
 @dataclass
@@ -155,25 +152,6 @@ class TransportResponse:
             raise ProtocolError(f"malformed response body: {exc}", status=self.status) from exc
 
 
-#: (method, path_with_query, headers, body) -> (status, payload dict); the body
-#: is bytes or a binary file object, handed over unread.
-InProcessHandler = Callable[
-    [str, str, Mapping[str, str], "bytes | IO[bytes]"], "tuple[int, dict]"
-]
-
-_INPROCESS_REGISTRY: dict[str, InProcessHandler] = {}
-
-
-def register_inprocess_handler(name: str, handler: InProcessHandler) -> str:
-    """Expose ``handler`` as the in-process backend ``mock://name``."""
-    _INPROCESS_REGISTRY[name] = handler
-    return f"mock://{name}"
-
-
-def unregister_inprocess_handler(name: str) -> None:
-    _INPROCESS_REGISTRY.pop(name, None)
-
-
 class HttpTransport:
     """HTTP/1.1 transport on :mod:`http.client`: one keep-alive connection per
     thread, so one transport serves any number of threads.
@@ -183,7 +161,8 @@ class HttpTransport:
     ``https`` the CA bundle of ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``,
     else the system's trust store. ``~/.netrc`` is not read, so it cannot
     replace the token header with other credentials. A request is sent once;
-    retrying is the caller's decision.
+    retrying is the caller's decision. A ``base_url`` that is not an http or
+    https URL with a host raises :class:`ConfigError`.
     """
 
     def __init__(self, base_url: str):
@@ -193,7 +172,12 @@ class HttpTransport:
         import urllib.request
 
         target = urlsplit(base_url)
-        host, port = target.hostname, target.port
+        try:
+            host, port = target.hostname, target.port
+        except ValueError:  # a port that is not a number from 0 to 65535
+            host = port = None
+        if target.scheme not in ("http", "https") or not host:
+            raise ConfigError(f"base_url {base_url!r} is not an http:// or https:// URL")
         proxies = urllib.request.getproxies_environment()
         proxy = proxies.get(target.scheme) or proxies.get("all")
         if proxy and urllib.request.proxy_bypass_environment(target.netloc, proxies):
@@ -287,34 +271,6 @@ def _readable(sock) -> bool:
     return bool(poller.poll(0))
 
 
-class InProcessTransport:
-    """Dispatches requests directly to a registered in-process service."""
-
-    def request(
-        self, method: str, url: str, headers: Mapping[str, str], body: bytes | IO[bytes] | None
-    ) -> TransportResponse:
-        parts = urlsplit(url)
-        handler = _INPROCESS_REGISTRY.get(parts.netloc)
-        if handler is None:
-            raise NetworkError(f"no in-process service registered as {parts.netloc!r}")
-        path = parts.path + (f"?{parts.query}" if parts.query else "")
-        try:
-            status, document = handler(method, path, headers, b"" if body is None else body)
-        except ConnectionError as exc:
-            raise NetworkError(f"{method} {url}: connection dropped") from exc
-        return TransportResponse(status=status, body=json.dumps(document).encode("utf-8"))
-
-
-def transport_for(base_url: str):
-    """Pick a transport implementation from the URL scheme."""
-    scheme = urlsplit(base_url).scheme
-    if scheme in ("http", "https"):
-        return HttpTransport(base_url)
-    if scheme == "mock":
-        return InProcessTransport()
-    raise ValueError(f"unsupported URL scheme in {base_url!r}")
-
-
 # ---------------------------------------------------------------------------
 # Client
 
@@ -332,7 +288,7 @@ class RepositoryClient:
 
     def __init__(self, profile: BackendProfile, *, retry_backoff: float = RETRY_BACKOFF_SECONDS):
         self.profile = profile
-        self.transport = transport_for(profile.base_url)
+        self.transport = HttpTransport(profile.base_url)
         self._retry_backoff = retry_backoff
 
     # -- operations

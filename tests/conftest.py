@@ -1,22 +1,15 @@
-"""Shared fixtures: project-tree builders and in-process mock backends."""
+"""Shared fixtures: project-tree builders and loopback mock backends."""
 
 from __future__ import annotations
 
-import itertools
 import os
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
 
-from geopub.mock_service import MockService, ServiceConfig
-from geopub.repo_protocol import (
-    BackendProfile,
-    RepositoryClient,
-    unregister_inprocess_handler,
-)
-
-_backend_counter = itertools.count(1)
+from geopub.mock_service import MockServer, MockService, ServiceConfig
+from geopub.repo_protocol import BackendProfile, RepositoryClient
 
 
 def project_xml(layers: list[tuple[str, str]], title: str = "") -> str:
@@ -94,15 +87,16 @@ def orkney(tmp_path: Path) -> OrkneyTree:
 
 
 class Backend:
-    """An in-process mock backend plus a client profile wired to it."""
+    """A mock backend served over loopback HTTP, plus a client profile wired
+    to it."""
 
-    def __init__(self, service: MockService, name: str, token: str = "test-token"):
+    def __init__(self, service: MockService, token: str = "test-token"):
         self.service = service
-        self.registry_name = name
-        base_url = service.register_inprocess(name)
+        self.server = MockServer(service)
+        self.server.start()
         self.profile = BackendProfile(
             name="figshare-like" if service.config.can_search else "zenodo-like",
-            base_url=base_url,
+            base_url=self.server.base_url,
             can_search=service.config.can_search,
             auth_token=token,
         )
@@ -111,24 +105,29 @@ class Backend:
         kwargs.setdefault("retry_backoff", 0.001)
         return RepositoryClient(self.profile, **kwargs)
 
-    def close(self):
-        unregister_inprocess_handler(self.registry_name)
+
+def unset_proxies(monkeypatch) -> None:
+    """Unset the proxy variables, so that loopback requests go direct."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
 
 
 @pytest.fixture
-def make_backend():
-    """Factory for in-process backends; unregisters them on teardown."""
+def make_backend(monkeypatch):
+    """Factory for loopback backends, reached with no proxy; stops their
+    servers on teardown."""
+    unset_proxies(monkeypatch)
     created: list[Backend] = []
 
     def factory(config: ServiceConfig | None = None, **kwargs) -> Backend:
-        service = MockService(config or ServiceConfig.figshare_like())
-        backend = Backend(service, f"backend{next(_backend_counter)}", **kwargs)
+        backend = Backend(MockService(config or ServiceConfig.figshare_like()), **kwargs)
         created.append(backend)
         return backend
 
     yield factory
     for backend in created:
-        backend.close()
+        backend.server.stop()
 
 
 @pytest.fixture

@@ -27,7 +27,8 @@ def _unescape(text: str) -> str:
 
 def scan_datasources(project_path: str) -> list[tuple[str, str, tuple[str, ...]]]:
     """All file datasources of a project as (path, kind, sidecars) rows."""
-    text = open(project_path, encoding="utf-8").read()
+    with open(project_path, encoding="utf-8") as handle:
+        text = handle.read()
     project_dir = os.path.dirname(os.path.abspath(project_path))
 
     rows: list[tuple[str, str, tuple[str, ...]]] = []

@@ -219,7 +219,7 @@ def test_3_private_doi_lifecycle(runner, orkney, backend, make_backend, tmp_path
         previous_state = "draft"
         for _ in range(rng.randint(1, 8)):
             action = rng.choice(
-                ["upload", "bad_upload", "publish", "publish_private", "make_public", "collab", "tag"]
+                ["upload", "bad_upload", "publish", "publish_private", "make_public", "collab"]
             )
             try:
                 if action == "upload":
@@ -242,14 +242,6 @@ def test_3_private_doi_lifecycle(runner, orkney, backend, make_backend, tmp_path
                     client.make_public(deposition.id)
                 elif action == "collab":
                     client.add_collaborator(deposition.id, f"c{rng.randrange(5)}")
-                elif action == "tag":
-                    # No client operation appends a tag; send the raw request.
-                    driver.service.handle_request(
-                        "POST",
-                        f"/api/v1/depositions/{deposition.id}/tags",
-                        {"Authorization": "token test-token"},
-                        json.dumps({"tag": f"extra{rng.randrange(5)}"}).encode(),
-                    )
             except ProtocolError:
                 pass
             record = driver.service.deposition_record(deposition.id)

@@ -11,12 +11,24 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import Backend
+from test_orchestrator import _count_calls
 
 import geopub
+from geopub import orchestrator
 from geopub.cli import main
 from geopub.config import token_env_var
-from geopub.mock_service import MockServer, MockService, ServiceConfig
+from geopub.mock_service import ServiceConfig
 from geopub.repo_protocol import BackendProfile
+
+
+# Not an http(s) URL with a host and a numeric port; ``mock://`` names the
+# in-process transport that older configs may still point at.
+UNSUPPORTED_BASE_URLS = [
+    "localhost:8472",
+    "ftp://repo.example",
+    "http://repo:port",
+    "mock://figshare-like",
+]
 
 
 @pytest.fixture
@@ -25,7 +37,7 @@ def runner() -> CliRunner:
 
 
 def cli_env(tmp_path: Path, *backends: Backend, tokens: bool = True) -> dict[str, str]:
-    """A config file plus env vars wiring profiles to in-process backends."""
+    """A config file plus env vars wiring profiles to the given backends."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     lines = []
     env = {"GEOPUB_CACHE": str(tmp_path / "doi_cache.json")}
@@ -150,6 +162,23 @@ class TestPublishDataCommand:
         assert result.exit_code == 2
         assert "figshare-like" in result.stderr
         assert "zenodo-like" in result.stderr
+
+    @pytest.mark.parametrize("base_url", UNSUPPORTED_BASE_URLS)
+    def test_unsupported_base_url_exits_2_before_hashing(
+        self, runner, orkney, tmp_path, monkeypatch, base_url
+    ):
+        profile = BackendProfile("figshare-like", base_url, True)
+        env = cli_env(tmp_path, SimpleNamespace(profile=profile))
+        plans = _count_calls(monkeypatch, orchestrator, "plan_data")
+        args = ["publish", "data", "--project", str(orkney.project)]
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and repr(base_url) in line
+        assert plans == []
+        # The dry run opens no connection, so the profile's URL is not checked.
+        assert runner.invoke(main, [*args, "--dry-run"], env=env).exit_code == 0
 
     def test_missing_project_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["publish", "data"])
@@ -289,6 +318,21 @@ class TestPublishSoftwareCommand:
         assert "git tracks no file" in result.stderr
         assert backend.service.deposition_count() == 0
 
+    @pytest.mark.parametrize("base_url", UNSUPPORTED_BASE_URLS)
+    def test_unsupported_base_url_exits_2_before_hashing(
+        self, runner, source_tree, tmp_path, monkeypatch, base_url
+    ):
+        profile = BackendProfile("figshare-like", base_url, True)
+        env = cli_env(tmp_path, SimpleNamespace(profile=profile))
+        detections = _count_calls(monkeypatch, orchestrator, "detect_version")
+        args = ["publish", "software", "--source", str(source_tree)]
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and repr(base_url) in line
+        assert detections == []
+
     def test_missing_source_exits_3(self, runner, backend, tmp_path):
         env = cli_env(tmp_path, backend)
         result = runner.invoke(
@@ -343,22 +387,15 @@ def test_cli_import_loads_no_mock_server():
     assert completed.stdout == "[]\n"
 
 
-def test_publish_software_runs_without_requests(source_tree, tmp_path):
-    service = MockService()
-    server = MockServer(service)
-    server.start()
-    try:
-        backend = SimpleNamespace(profile=BackendProfile("figshare-like", server.base_url, True))
-        completed = _fresh_python(
-            "import geopub.mock_service\nfrom geopub.cli import main\nmain()\n",
-            "publish",
-            "software",
-            "--source",
-            str(source_tree),
-            env=cli_env(tmp_path, backend),
-        )
-    finally:
-        server.stop()
+def test_publish_software_runs_without_requests(source_tree, tmp_path, backend):
+    completed = _fresh_python(
+        "import geopub.mock_service\nfrom geopub.cli import main\nmain()\n",
+        "publish",
+        "software",
+        "--source",
+        str(source_tree),
+        env=cli_env(tmp_path, backend),
+    )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout == "Publication ID: 1\nDOI: 10.5072/geopub.1\n"
-    assert service.deposition_record(1)["state"] == "public"
+    assert backend.service.deposition_record(1)["state"] == "public"

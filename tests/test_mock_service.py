@@ -233,36 +233,6 @@ class TestWireConformance:
         )
         assert (status, document) == (413, {"error": "quota"})
 
-    def test_tag_appended_to_draft_is_kept(self, sender):
-        sender("POST", "/api/v1/depositions", body=_create_body())
-        status, document = sender(
-            "POST", "/api/v1/depositions/1/tags", body=json.dumps({"tag": "extra"}).encode()
-        )
-        assert (status, document) == (200, {"tags": ["orkney", "qgis", "extra"]})
-        _, document = sender("GET", "/api/v1/depositions/1")
-        assert document["tags"] == ["orkney", "qgis", "extra"]
-
-    def test_tag_after_publish_rejected(self, sender):
-        sender("POST", "/api/v1/depositions", body=_create_body())
-        content = b"x"
-        sender(
-            "POST",
-            "/api/v1/depositions/1/files",
-            headers={
-                "X-File-Name": "x.bin",
-                "X-File-SHA256": hashlib.sha256(content).hexdigest(),
-            },
-            body=content,
-        )
-        sender("POST", "/api/v1/depositions/1/actions/publish", body=b'{"private": false}')
-        status, document = sender(
-            "POST", "/api/v1/depositions/1/tags", body=json.dumps({"tag": "late"}).encode()
-        )
-        assert status == 400
-        assert document["error"] == "validation"
-        _, document = sender("GET", "/api/v1/depositions/1")
-        assert document["tags"] == ["orkney", "qgis"]
-
     def test_validation_and_not_found_codes(self, sender):
         status, document = sender("POST", "/api/v1/depositions", body=_create_body(title=""))
         assert status == 400
@@ -273,6 +243,10 @@ class TestWireConformance:
         assert status == 404
         status, _ = sender("GET", "/api/v1/unknown")
         assert status == 404
+        # No endpoint appends a tag, even to an existing draft.
+        sender("POST", "/api/v1/depositions", body=_create_body())
+        status, document = sender("POST", "/api/v1/depositions/1/tags", body=b'{"tag": "x"}')
+        assert (status, document) == (404, {"error": "not_found"})
 
     def test_auth_codes(self, sender):
         status, document = sender("POST", "/api/v1/depositions", headers={"Authorization": ""})

@@ -7,9 +7,9 @@ import re
 import shutil
 from pathlib import Path
 
-from conftest import OrkneyTree
+from conftest import OrkneyTree, unset_proxies
 
-from geopub.repo_protocol import ENDPOINTS, unregister_inprocess_handler
+from geopub.repo_protocol import ENDPOINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,10 +24,8 @@ def test_library_example_runs(tmp_path, monkeypatch):
     (tmp_path / "src" / "meshtool").mkdir(parents=True)
     (tmp_path / "src" / "meshtool" / "main.py").write_text("print('mesh')\n")
     monkeypatch.chdir(tmp_path)
-    try:
-        exec(compile(match.group(1), str(README), "exec"), {})
-    finally:
-        unregister_inprocess_handler("demo")
+    unset_proxies(monkeypatch)
+    exec(compile(match.group(1), str(README), "exec"), {})
 
 
 def test_wire_protocol_table_lists_the_endpoints():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import base64
-import dataclasses
 import hashlib
 import http.server
 import io
@@ -30,7 +29,7 @@ from geopub.errors import (
     ValidationError,
 )
 from geopub.manifest import ManifestEntry
-from geopub.mock_service import MB, Fault, MockServer, MockService, ServiceConfig
+from geopub.mock_service import MB, Fault, MockService, ServiceConfig
 from geopub.repo_protocol import (
     BackendProfile,
     DepositionMeta,
@@ -55,23 +54,6 @@ def entry_for(content: bytes, name: str = "file.bin") -> ManifestEntry:
 
 
 META = DepositionMeta(title="Orkney data", description="d", tags=("orkney", "qgis"))
-
-
-@pytest.fixture
-def serve():
-    """Serve a service over loopback HTTP until the test ends; returns the
-    server."""
-    servers = []
-
-    def start(service: MockService) -> MockServer:
-        server = MockServer(service)
-        server.start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.stop()
 
 
 class TestCreateDeposition:
@@ -168,12 +150,8 @@ class TestUploadFile:
         with pytest.raises(ValidationError):
             client.upload_file(deposition.id, entry_for(b"y", "y.bin"), b"y")
 
-    @pytest.mark.parametrize("transport", ["mock", "http"])
-    def test_concurrent_uploads_to_one_deposition(self, backend, serve, transport):
-        profile = backend.profile
-        if transport == "http":
-            profile = dataclasses.replace(profile, base_url=serve(backend.service).base_url)
-        client = RepositoryClient(profile)
+    def test_concurrent_uploads_to_one_deposition(self, backend):
+        client = backend.client()
         deposition = client.create_deposition(META)
         errors = []
 
@@ -192,7 +170,9 @@ class TestUploadFile:
         assert errors == []
         assert len(client.get_deposition(deposition.id).files) == 8
 
-    def test_inprocess_upload_is_not_read_into_memory(self, backend, tmp_path):
+    def test_upload_is_not_read_into_memory(self, backend, tmp_path):
+        # The client sending and the loopback mock reading and hashing run in
+        # this process, so both are traced: each holds about one 1 MB block.
         path = tmp_path / "big.bin"
         digest = hashlib.sha256()
         with open(path, "wb") as handle:
@@ -211,7 +191,7 @@ class TestUploadFile:
         finally:
             tracemalloc.stop()
         assert remote.size == 32 * MB
-        assert peak < 4 * MB
+        assert peak < 6 * MB
 
 
 class TestPublishAndMakePublic:
@@ -374,12 +354,9 @@ class TestRetryPolicy:
 
 
 @pytest.fixture
-def server(serve, monkeypatch):
-    """A loopback server demanding ``test-token``, reached with no proxy."""
-    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    return serve(MockService(ServiceConfig(required_token="test-token")))
+def server(make_backend):
+    """A loopback backend demanding ``test-token``."""
+    return make_backend(ServiceConfig(required_token="test-token"))
 
 
 class TestHttpEnvironment:
@@ -401,16 +378,16 @@ class TestHttpEnvironment:
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login someone password secret\n")
         monkeypatch.setenv("NETRC", str(netrc))
-        assert self._client(server.base_url).create_deposition(META).id == 1
+        assert server.client().create_deposition(META).id == 1
 
     def test_proxy_from_environment_is_used(self, server, monkeypatch):
-        monkeypatch.setenv("HTTP_PROXY", server.base_url)
+        monkeypatch.setenv("HTTP_PROXY", server.profile.base_url)
         client = self._client(self._closed_port_url())
         assert client.create_deposition(META).id == 1
         assert server.service.request_count == 1
 
     def test_no_proxy_goes_direct(self, server, monkeypatch):
-        monkeypatch.setenv("HTTP_PROXY", server.base_url)
+        monkeypatch.setenv("HTTP_PROXY", server.profile.base_url)
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
         client = self._client(self._closed_port_url())
         with pytest.raises(NetworkError):
@@ -419,7 +396,7 @@ class TestHttpEnvironment:
 
     def test_proxy_environment_resolved_once_per_client(self, server, monkeypatch):
         resolutions = _count_calls(monkeypatch, urllib.request, "getproxies_environment")
-        client = self._client(server.base_url)
+        client = server.client()
         deposition = client.create_deposition(META)
         for _ in range(9):
             client.get_deposition(deposition.id)
@@ -437,9 +414,9 @@ class TestKeepAlive:
         self, server, monkeypatch, token, deposition_id, status
     ):
         connects = _count_calls(monkeypatch, socket, "create_connection")
-        transport = HttpTransport(server.base_url)
+        transport = HttpTransport(server.profile.base_url)
         auth = {"Authorization": "token test-token"}
-        depositions = server.base_url + "/api/v1/depositions"
+        depositions = server.profile.base_url + "/api/v1/depositions"
         created = transport.request("POST", depositions, auth, b'{"title": "T"}')
         assert created.status == 201
         refused = transport.request(
@@ -456,8 +433,7 @@ class TestKeepAlive:
         # The mock's handler then closes a connection left idle this long.
         monkeypatch.setattr(socketserver.StreamRequestHandler, "timeout", 0.05)
         connects = _count_calls(monkeypatch, socket, "create_connection")
-        profile = BackendProfile("figshare-like", server.base_url, True, "test-token")
-        client = RepositoryClient(profile)
+        client = server.client()
         deposition = client.create_deposition(META)
         time.sleep(0.3)
         # An upload is never retried, so it must not go out on the closed socket.
