@@ -1,9 +1,10 @@
 """In-memory reference implementation of the deposition protocol.
 
 The service is a plain state machine behind :meth:`MockService.handle_request`
-and can be driven two ways: directly, or over real HTTP via :class:`MockServer`
-(also installed as the ``geopub-mock`` command), whose front-end calls the
-same handler.
+and can be driven two ways: directly, or over real HTTP via :class:`MockServer`,
+whose front-end calls the same handler. The ``geopub-mock`` command serves
+one built-in profile of :func:`geopub.config.default_profiles`, by default on
+the port of that profile's ``base_url``, until SIGINT or SIGTERM.
 
 Faults can be injected per endpoint to exercise client retry behaviour.
 """
@@ -24,13 +25,15 @@ from dataclasses import dataclass, field, asdict
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import BinaryIO, Mapping, NamedTuple
+from typing import BinaryIO, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 import click
 
 from . import repo_protocol
+from .config import default_profiles
 from .errors import BindError
+from .repo_protocol import RemoteFile
 
 logger = logging.getLogger(__name__)
 
@@ -97,14 +100,6 @@ class ServiceConfig:
 
 
 @dataclass
-class _StoredFile:
-    file_id: int
-    name: str
-    size: int
-    sha256: str
-
-
-@dataclass
 class _DepositionRecord:
     id: int
     doi: str
@@ -115,7 +110,7 @@ class _DepositionRecord:
     tags: list[str] = field(default_factory=list)
     authors: list[dict] = field(default_factory=list)
     private_intent: bool = False
-    files: list[_StoredFile] = field(default_factory=list)
+    files: list[RemoteFile] = field(default_factory=list)
     collaborators: list[str] = field(default_factory=list)
 
     def stored_bytes(self) -> int:
@@ -152,18 +147,6 @@ def _route(method: str, path: str) -> tuple[str | None, int | None]:
         if match is not None and route_method == method:
             return op, int(match[1]) if pattern.groups else None
     return None, None
-
-
-class _Request(NamedTuple):
-    """What an endpoint implementation reads of a request besides its route."""
-
-    headers: Mapping[str, str]
-    query: str
-    #: The JSON body; b"" for an upload, whose bytes are hashed and not kept.
-    body: bytes = b""
-    #: An upload's sha256 hex digest and size, "" and 0 for other requests.
-    sha256: str = ""
-    size: int = 0
 
 
 class MockService:
@@ -236,7 +219,7 @@ class MockService:
             self._next_id = state["next_id"]
             self._depositions = {}
             for raw in state["depositions"]:
-                files = [_StoredFile(**f) for f in raw.pop("files")]
+                files = [RemoteFile(**f) for f in raw.pop("files")]
                 self._depositions[raw["id"]] = _DepositionRecord(**raw, files=files)
 
     # -- request handling
@@ -246,8 +229,11 @@ class MockService:
     ) -> tuple[int, dict]:
         """Serve one protocol request; returns (status, response document).
 
-        ``body`` is bytes or a binary reader. An upload is hashed as it is
-        read and never held; what is left unread is the caller's to discard.
+        ``body`` is bytes or a binary reader. A request without valid
+        credentials is answered 401, and then one that names no endpoint or
+        an unknown deposition 404, before any of its body is read. An upload
+        is hashed as it is read and never held; what is left unread is the
+        caller's to discard.
         """
         parts = urlsplit(path)
         op, deposition_id = _route(method, parts.path)
@@ -255,6 +241,8 @@ class MockService:
         with self._lock:
             self.request_count += 1
             fault = next((f for f, on in self._faults if on in ("*", op)), None)
+            # Records are never removed, so this one stays valid unlocked.
+            record = self._depositions.get(deposition_id)
 
         if fault is not None:
             if fault.kind is FaultKind.SLOW_START:
@@ -266,7 +254,7 @@ class MockService:
 
         if not self._authorized(headers):
             return 401, {"error": "auth"}
-        if op is None:
+        if op is None or (record is None and deposition_id is not None):
             return 404, {"error": "not_found"}
 
         reader = io.BytesIO(body) if isinstance(body, bytes) else body
@@ -276,21 +264,18 @@ class MockService:
             while chunk := reader.read(CHUNK_SIZE):
                 digest.update(chunk)
                 size += len(chunk)
-            request = _Request(headers, parts.query, sha256=digest.hexdigest(), size=size)
-        else:
-            request = _Request(headers, parts.query, reader.read())
+            with self._lock:
+                return self._upload(record, headers, digest.hexdigest(), size)
+        document = _json_body(reader.read())
         with self._lock:
-            record = self._depositions.get(deposition_id)
-            if record is None and deposition_id is not None:
-                return 404, {"error": "not_found"}
-            return getattr(self, f"_{op}")(record, request)
+            return getattr(self, f"_{op}")(record, document, parts.query)
 
     # -- endpoint implementations, one per operation, each called with the
-    # addressed record (None for create and search) and the request; the
-    # caller holds the lock
+    # addressed record (None for create and search), the JSON body (None
+    # unless a JSON object) and the query string; upload instead gets the
+    # headers and the body's sha256 hex digest and size. The caller holds the lock.
 
-    def _create(self, _, request: _Request) -> tuple[int, dict]:
-        document = _json_body(request.body)
+    def _create(self, _record, document, _query) -> tuple[int, dict]:
         if document is None:
             return 400, {"error": "validation", "message": "request body is not JSON"}
         title = document.get("title", "")
@@ -313,11 +298,12 @@ class MockService:
         self._depositions[deposition_id] = record
         return 201, record.status()
 
-    def _get(self, record: _DepositionRecord, _) -> tuple[int, dict]:
+    def _get(self, record: _DepositionRecord, _document, _query) -> tuple[int, dict]:
         return 200, record.public_document()
 
-    def _upload(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
-        headers = request.headers
+    def _upload(
+        self, record: _DepositionRecord, headers: Mapping[str, str], sha256: str, size: int
+    ) -> tuple[int, dict]:
         if record.state != "draft":
             return 400, {"error": "validation", "message": "deposition is not a draft"}
         name = _header(headers, "X-File-Name")
@@ -326,42 +312,37 @@ class MockService:
             return 400, {"error": "validation", "message": "X-File-Name header required"}
         if any(f.name == name for f in record.files):
             return 400, {"error": "validation", "message": f"file {name!r} already uploaded"}
-        actual = request.sha256
-        if declared is None or declared.lower() != actual:
+        if declared is None or declared.lower() != sha256:
             return 422, {"error": "checksum"}
-        size = request.size
         if size > self.config.per_file_limit:
             return 413, {"error": "quota"}
         if record.private_intent and record.stored_bytes() + size > self.config.private_quota:
             return 413, {"error": "quota"}
-        stored = _StoredFile(
-            file_id=len(record.files) + 1, name=name, size=size, sha256=actual
-        )
+        stored = RemoteFile(file_id=len(record.files) + 1, name=name, size=size, sha256=sha256)
         record.files.append(stored)
         return 201, asdict(stored)
 
-    def _publish(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
+    def _publish(self, record: _DepositionRecord, document, _query) -> tuple[int, dict]:
         if record.state != "draft":
             return 400, {"error": "validation", "message": "deposition is not a draft"}
         if not record.files:
             return 400, {"error": "validation", "message": "cannot publish without files"}
-        document = _json_body(request.body) or {}
-        private = bool(document.get("private", False))
+        private = bool((document or {}).get("private", False))
         record.state = "private" if private else "public"
         record.doi_active = not private
         return 200, record.status()
 
-    def _make_public(self, record: _DepositionRecord, _) -> tuple[int, dict]:
+    def _make_public(self, record: _DepositionRecord, _document, _query) -> tuple[int, dict]:
         if record.state != "private":
             return 400, {"error": "validation", "message": "deposition is not private"}
         record.state = "public"
         record.doi_active = True
         return 200, record.status()
 
-    def _search(self, _, request: _Request) -> tuple[int, dict]:
+    def _search(self, _record, _document, query: str) -> tuple[int, dict]:
         if not self.config.can_search:
             return 501, {"error": "search_not_supported"}
-        tags = parse_qs(request.query).get("tag")
+        tags = parse_qs(query).get("tag")
         if not tags:
             return 400, {"error": "validation", "message": "tag query parameter required"}
         tag = tags[0]
@@ -373,10 +354,9 @@ class MockService:
         ]
         return 200, {"results": results}
 
-    def _collaborators(self, record: _DepositionRecord, request: _Request) -> tuple[int, dict]:
+    def _collaborators(self, record: _DepositionRecord, document, _query) -> tuple[int, dict]:
         if record.state != "private":
             return 400, {"error": "validation", "message": "deposition is not private"}
-        document = _json_body(request.body)
         name = (document or {}).get("name")
         if not isinstance(name, str) or not name.strip():
             return 400, {"error": "validation", "message": "collaborator name required"}
@@ -407,7 +387,7 @@ def _header(headers: Mapping[str, str], name: str) -> str | None:
     return None
 
 
-def _json_body(body: bytes):
+def _json_body(body: bytes) -> dict | None:
     if not body:
         return None
     try:
@@ -445,15 +425,9 @@ class MockServer:
 
     def start(self) -> None:
         self._serving = True
-        thread = threading.Thread(
+        threading.Thread(
             target=self._httpd.serve_forever, args=(_POLL_INTERVAL,), daemon=True
-        )
-        thread.start()
-        self._thread = thread
-
-    def serve_forever(self) -> None:
-        self._serving = True
-        self._httpd.serve_forever(_POLL_INTERVAL)
+        ).start()
 
     def stop(self) -> None:
         # shutdown() blocks forever unless the serve loop was entered.
@@ -535,10 +509,10 @@ def _make_handler(service: MockService):
 
 
 @click.command()
-@click.option("--port", type=int, default=8472, show_default=True, help="Listen port.")
+@click.option("--port", type=int, help="Listen port.  [default: that of the profile's base_url]")
 @click.option(
     "--profile",
-    type=click.Choice(["figshare-like", "zenodo-like"]),
+    type=click.Choice(list(default_profiles())),
     default="figshare-like",
     show_default=True,
     help="Capability profile to emulate.",
@@ -549,13 +523,13 @@ def _make_handler(service: MockService):
     default=None,
     help="State file loaded at startup (if present) and written at shutdown.",
 )
-def main(port: int, profile: str, snapshot: Path | None) -> None:
-    """Run a standalone mock repository service."""
+def main(port: int | None, profile: str, snapshot: Path | None) -> None:
+    """Run a standalone mock repository service until SIGINT or SIGTERM."""
     logging.basicConfig(level=logging.INFO)
-    config = (
-        ServiceConfig.figshare_like() if profile == "figshare-like" else ServiceConfig.zenodo_like()
-    )
-    service = MockService(config)
+    builtin = default_profiles()[profile]
+    if port is None:
+        port = urlsplit(builtin.base_url).port
+    service = MockService(ServiceConfig(can_search=builtin.can_search))
     if snapshot is not None and snapshot.exists():
         service.load_snapshot(snapshot)
         click.echo(f"loaded snapshot from {snapshot}", err=True)
@@ -564,19 +538,15 @@ def main(port: int, profile: str, snapshot: Path | None) -> None:
     except BindError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
+    # Blocked before start(), so the server threads inherit the mask. On Linux
+    # a blocked signal stays pending for sigwait() even when the parent
+    # ignored it, as a non-interactive shell does SIGINT for a background job.
+    stop_signals = {signal.SIGINT, signal.SIGTERM}
+    signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
+    server.start()
     click.echo(f"{profile} mock service listening on {server.base_url}", err=True)
-
-    def interrupt(signum, frame):
-        # Raised in the main thread, which leaves the serve loop; calling
-        # shutdown() here would wait for that same loop forever.
-        raise KeyboardInterrupt
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, interrupt)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        signal.sigwait(stop_signals)
     finally:
         server.stop()
         if snapshot is not None:

@@ -277,6 +277,13 @@ def _readable(sock) -> bool:
 _STATUS_ERRORS = {cls.status: cls for cls in ProtocolError.__subclasses__() if cls.status}
 
 
+def _remote_file(row: dict) -> RemoteFile:
+    """A stored-file row, as the upload response and a deposition's files give it."""
+    return RemoteFile(
+        file_id=row["file_id"], name=row["name"], size=row["size"], sha256=row["sha256"]
+    )
+
+
 class RepositoryClient:
     """Client handle for one backend profile.
 
@@ -286,10 +293,9 @@ class RepositoryClient:
     state-changing requests are never auto-retried.
     """
 
-    def __init__(self, profile: BackendProfile, *, retry_backoff: float = RETRY_BACKOFF_SECONDS):
+    def __init__(self, profile: BackendProfile):
         self.profile = profile
         self.transport = HttpTransport(profile.base_url)
-        self._retry_backoff = retry_backoff
 
     # -- operations
 
@@ -340,12 +346,7 @@ class RepositoryClient:
             ),
             201,
         )
-        return RemoteFile(
-            file_id=document["file_id"],
-            name=document["name"],
-            size=document["size"],
-            sha256=document["sha256"],
-        )
+        return _remote_file(document)
 
     def publish_deposition(self, deposition_id: int, private: bool = False) -> PublicationResult:
         """Publish a draft: public (DOI goes live) or private (DOI stays
@@ -396,15 +397,7 @@ class RepositoryClient:
                 )
                 for row in document["authors"]
             ),
-            files=tuple(
-                RemoteFile(
-                    file_id=row["file_id"],
-                    name=row["name"],
-                    size=row["size"],
-                    sha256=row["sha256"],
-                )
-                for row in document["files"]
-            ),
+            files=tuple(_remote_file(row) for row in document["files"]),
             collaborators=tuple(document["collaborators"]),
         )
 
@@ -443,7 +436,7 @@ class RepositoryClient:
             request_headers.update(headers)
 
         attempts = 1 + (GET_RETRIES if method == "GET" else 0)
-        delay = self._retry_backoff
+        delay = RETRY_BACKOFF_SECONDS
         failure: NetworkError | None = None
         for attempt in range(attempts):
             if attempt:

@@ -8,8 +8,15 @@ from xml.sax.saxutils import escape
 
 import pytest
 
+from geopub import repo_protocol
 from geopub.mock_service import MockServer, MockService, ServiceConfig
 from geopub.repo_protocol import BackendProfile, RepositoryClient
+
+
+@pytest.fixture(autouse=True)
+def fast_retry_backoff(monkeypatch):
+    """Retried GETs wait 1 ms instead of the policy's 250 ms."""
+    monkeypatch.setattr(repo_protocol, "RETRY_BACKOFF_SECONDS", 0.001)
 
 
 def project_xml(layers: list[tuple[str, str]], title: str = "") -> str:
@@ -101,9 +108,8 @@ class Backend:
             auth_token=token,
         )
 
-    def client(self, **kwargs) -> RepositoryClient:
-        kwargs.setdefault("retry_backoff", 0.001)
-        return RepositoryClient(self.profile, **kwargs)
+    def client(self) -> RepositoryClient:
+        return RepositoryClient(self.profile)
 
 
 def unset_proxies(monkeypatch) -> None:

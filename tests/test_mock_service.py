@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import pytest
+from click.testing import CliRunner
 
 from geopub import mock_service
 from geopub.errors import BindError, NetworkError
@@ -247,6 +248,30 @@ class TestWireConformance:
         sender("POST", "/api/v1/depositions", body=_create_body())
         status, document = sender("POST", "/api/v1/depositions/1/tags", body=b'{"tag": "x"}')
         assert (status, document) == (404, {"error": "not_found"})
+
+    def test_upload_to_unknown_deposition_refused_before_hashing(self, sender, monkeypatch):
+        hashed = []
+
+        class CountingSha256:
+            """An incremental sha256 that counts the bytes it is given."""
+
+            def __init__(self):
+                self._digest = hashlib.sha256()
+                self.hexdigest = self._digest.hexdigest
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._digest.update(data)
+
+        monkeypatch.setattr(mock_service, "hashlib", SimpleNamespace(sha256=CountingSha256))
+        sender("POST", "/api/v1/depositions", body=_create_body())
+        content = b"x" * 3_000_000
+        headers = {"X-File-Name": "big.bin", "X-File-SHA256": hashlib.sha256(content).hexdigest()}
+        status, document = sender("POST", "/api/v1/depositions/2/files", headers, content)
+        assert (status, document, sum(hashed)) == (404, {"error": "not_found"}, 0)
+        # The same upload to the existing draft is hashed, then refused by quota.
+        status, document = sender("POST", "/api/v1/depositions/1/files", headers, content)
+        assert (status, document, sum(hashed)) == (413, {"error": "quota"}, len(content))
 
     def test_auth_codes(self, sender):
         status, document = sender("POST", "/api/v1/depositions", headers={"Authorization": ""})
@@ -501,6 +526,24 @@ class TestLocking:
 
 
 class TestStandaloneProcess:
+    @pytest.mark.parametrize(
+        "profile, default_port, can_search",
+        [("figshare-like", 8472, True), ("zenodo-like", 8473, False)],
+    )
+    def test_default_port_and_capability_follow_the_profile(
+        self, monkeypatch, profile, default_port, can_search
+    ):
+        bound = []
+
+        def refuse(service, host="127.0.0.1", port=0):
+            bound.append((port, service.config.can_search))
+            raise BindError(f"cannot bind {host}:{port}")
+
+        # Nothing binds, and the command exits before it touches the signal mask.
+        monkeypatch.setattr(mock_service, "MockServer", refuse)
+        result = CliRunner().invoke(mock_service.main, ["--profile", profile])
+        assert (result.exit_code, bound) == (1, [(default_port, can_search)])
+
     @pytest.mark.parametrize("signal_name", ["SIGINT", "SIGTERM"])
     def test_serves_snapshot_and_shuts_down(self, tmp_path, signal_name):
         probe = socket.socket()

@@ -1,14 +1,17 @@
-"""The README's library example runs as written, and its wire-protocol table
-lists the endpoints the code routes by."""
+"""The README's library example runs as written, its wire-protocol table
+lists the endpoints the code routes by, and the default ports it gives for
+``geopub-mock`` are those of the built-in profiles."""
 
 from __future__ import annotations
 
 import re
 import shutil
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from conftest import OrkneyTree, unset_proxies
 
+from geopub.config import default_profiles
 from geopub.repo_protocol import ENDPOINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +37,13 @@ def test_wire_protocol_table_lists_the_endpoints():
     assert match is not None, "no '## Wire protocol' section"
     rows = re.findall(r"^\| `([A-Z]+) ([^`?]+)(?:\?[^`]*)?` \|", match.group(1), re.M)
     assert sorted(rows) == sorted(ENDPOINTS.values())
+
+
+def test_mock_default_ports_are_the_builtin_profiles_ports():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    match = re.search(r"default port is that of the profile's built-in `base_url`:(.*?)\.", text)
+    assert match is not None, "no sentence giving geopub-mock's default ports"
+    ports = {name: int(port) for port, name in re.findall(r"(\d+) for ([\w-]+)", match[1])}
+    assert ports == {
+        name: urlsplit(profile.base_url).port for name, profile in default_profiles().items()
+    }

@@ -466,7 +466,7 @@ class TestTls:
     @staticmethod
     def _create(base_url: str) -> int:
         profile = BackendProfile("figshare-like", base_url, True, "test-token")
-        return RepositoryClient(profile, retry_backoff=0.001).create_deposition(META).id
+        return RepositoryClient(profile).create_deposition(META).id
 
     def test_certificate_verified_against_ca_bundle(self, tls_url, monkeypatch):
         with pytest.raises(NetworkError, match="CERTIFICATE_VERIFY_FAILED"):
