@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .manifest import (
+    DepositionMeta,
     ManifestEntry,
     PublicationManifest,
     build_manifest,
@@ -44,9 +45,7 @@ from .orchestrator import (
 from .qgis_project import (
     DataSourceRef,
     LayerEntry,
-    NonFileSource,
     ProjectFile,
-    SourceKind,
     collect_datasources,
     parse_project,
     resolve_datasource,
@@ -54,7 +53,6 @@ from .qgis_project import (
 from .repo_protocol import (
     BackendProfile,
     Deposition,
-    DepositionMeta,
     DepositionState,
     DepositionSummary,
     PublicationResult,
@@ -94,7 +92,6 @@ __all__ = [
     "ManifestEntry",
     "MissingFileError",
     "NetworkError",
-    "NonFileSource",
     "NotFoundError",
     "ParseError",
     "ProjectFile",
@@ -105,7 +102,6 @@ __all__ = [
     "RemoteFile",
     "RepositoryClient",
     "SoftwarePublication",
-    "SourceKind",
     "SourceVersion",
     "ValidationError",
     "VersionKind",

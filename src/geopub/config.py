@@ -17,10 +17,11 @@ The config file is a simple key-value format (a TOML subset)::
     base_url = "http://repo.example:9000"
     can_search = false
 
-Values are double-quoted strings, ``true``/``false``, or integers. Tokens are
-never accepted on the command line; use the config file or the per-profile
-environment variable ``GEOPUB_TOKEN_<PROFILE>`` (profile name uppercased,
-non-alphanumerics replaced by ``_``, e.g. ``GEOPUB_TOKEN_FIGSHARE_LIKE``).
+The file is UTF-8. ``can_search`` is ``true`` or ``false``, ``token`` a
+double-quoted string or an integer, and every other value a double-quoted
+string. Tokens are never accepted on the command line; use the config file or
+the per-profile environment variable ``GEOPUB_TOKEN_<PROFILE>`` (profile name
+uppercased, non-alphanumerics replaced by ``_``, e.g. ``GEOPUB_TOKEN_FIGSHARE_LIKE``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from typing import Mapping
 from .errors import ConfigError
 from .repo_protocol import BackendProfile
 
-_TOP_LEVEL_KEYS = {"default_profile", "cache_path"}
-_PROFILE_KEYS = {"base_url", "can_search", "token"}
+#: The keys of each part of the file, and the value types each key takes.
+_TOP_LEVEL_KEYS = {"default_profile": (str,), "cache_path": (str,)}
+_PROFILE_KEYS = {"base_url": (str,), "can_search": (bool,), "token": (str, int)}
+_TYPE_NAMES = {str: "a quoted string", bool: "true or false", int: "an integer"}
 
 _SECTION = re.compile(r"^\[profile\.([A-Za-z0-9_.\-]+)\]$")
 _KEY_VALUE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
@@ -170,7 +173,7 @@ def _check_reserved_capabilities(profiles: dict[str, BackendProfile]) -> None:
 def _parse_config_file(path: Path) -> tuple[dict, dict[str, dict]]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     top_level: dict = {}
@@ -198,8 +201,12 @@ def _parse_config_file(path: Path) -> tuple[dict, dict[str, dict]]:
         if key not in section_keys:
             allowed = ", ".join(sorted(section_keys))
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r} (allowed: {allowed})")
+        value = _parse_value(path, line_number, raw_value)
+        if type(value) not in section_keys[key]:
+            wanted = " or ".join(_TYPE_NAMES[t] for t in section_keys[key])
+            raise ConfigError(f"{path}:{line_number}: {key} must be {wanted}")
         target = top_level if section is None else section
-        target[key] = _parse_value(path, line_number, raw_value)
+        target[key] = value
 
     return top_level, profiles
 

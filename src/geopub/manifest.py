@@ -1,7 +1,9 @@
-"""Assemble the checksummed file set and metadata for one data publication.
+"""Assemble the checksummed file set and metadata for one publication.
 
-The manifest is the single point where missing files are reported: parsing
-tolerates dangling references, but a publication must be complete.
+A :class:`PublicationManifest` is the files to upload plus the
+:class:`DepositionMeta` the deposition is created with. The manifest is the
+single point where missing files are reported: parsing tolerates dangling
+references, but a publication must be complete.
 """
 
 from __future__ import annotations
@@ -39,15 +41,26 @@ class ManifestEntry:
 
 
 @dataclass(frozen=True)
+class DepositionMeta:
+    """Metadata sent when creating a deposition."""
+
+    title: str
+    description: str = ""
+    tags: tuple[str, ...] = ()
+    authors: tuple[AuthorRef, ...] = ()
+
+
+@dataclass(frozen=True)
 class PublicationManifest:
-    """The complete file set plus derived metadata for one publication."""
+    """The complete file set of one publication and the metadata it is
+    deposited with."""
 
     entries: tuple[ManifestEntry, ...]
-    title: str
-    description: str
-    tags: tuple[str, ...]
-    authors: tuple[AuthorRef, ...]
-    total_size: int
+    meta: DepositionMeta
+
+    @property
+    def total_size(self) -> int:
+        return sum(entry.size for entry in self.entries)
 
 
 def checksum_file(path: str | os.PathLike) -> str:
@@ -109,12 +122,7 @@ def build_manifest(
 
     # The same file may be referenced twice (e.g. the mesh also appearing as
     # a layer); keep the first occurrence.
-    unique: list[Path] = []
-    seen: set[Path] = set()
-    for path in paths:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
+    unique = list(dict.fromkeys(paths))
 
     missing = [path for path in unique if not path.is_file()]
     if missing:
@@ -133,24 +141,22 @@ def build_manifest(
     )
 
     derived_title, derived_tags = derive_metadata(project)
-    return PublicationManifest(
-        entries=entries,
+    meta = DepositionMeta(
         title=title if title is not None else derived_title,
         description=description
         if description is not None
         else f"Files of QGIS project {project.path.name} ({len(entries)} files in total).",
         tags=tuple(derived_tags),
-        authors=(),
-        total_size=sum(entry.size for entry in entries),
     )
+    return PublicationManifest(entries=entries, meta=meta)
 
 
 def manifest_to_json(manifest: PublicationManifest) -> str:
     """The manifest as a JSON document (the dry-run preview format)."""
     return json.dumps(
         {
-            "title": manifest.title,
-            "tags": list(manifest.tags),
+            "title": manifest.meta.title,
+            "tags": list(manifest.meta.tags),
             "entries": [
                 {"name": entry.name, "size": entry.size, "sha256": entry.sha256}
                 for entry in manifest.entries

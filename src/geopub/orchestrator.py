@@ -26,12 +26,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import CacheCorruptError, CacheLockError, NotFoundError, ProtocolError, ValidationError
-from .manifest import ManifestEntry, PublicationManifest, build_manifest, checksum_file
+from .manifest import (
+    DepositionMeta,
+    ManifestEntry,
+    PublicationManifest,
+    build_manifest,
+    checksum_file,
+)
 from .qgis_project import collect_datasources, parse_project
 from .repo_protocol import (
     BackendProfile,
     Deposition,
-    DepositionMeta,
     DepositionState,
     PublicationResult,
     RepositoryClient,
@@ -195,7 +200,8 @@ def plan_data(
     manifest = build_manifest(
         project, collect_datasources(project), mesh_path, title=title, description=description
     )
-    return replace(manifest, tags=manifest.tags + link_tags)
+    meta = manifest.meta
+    return replace(manifest, meta=replace(meta, tags=meta.tags + link_tags))
 
 
 def publish_data(
@@ -207,7 +213,6 @@ def publish_data(
     title: str | None = None,
     description: str | None = None,
     related_software_doi: str | None = None,
-    client: RepositoryClient | None = None,
 ) -> PublicationResult:
     """Publish a project's complete provenance, as planned by
     :func:`plan_data`.
@@ -217,7 +222,7 @@ def publish_data(
     failure the draft deposition is abandoned (its id is logged for manual
     cleanup) and the error propagates.
     """
-    client = client or RepositoryClient(profile)
+    client = RepositoryClient(profile)
     manifest = plan_data(
         project_path,
         mesh_path,
@@ -234,7 +239,6 @@ def publish_software(
     *,
     private: bool = False,
     cache: DoiCache | None = None,
-    client: RepositoryClient | None = None,
 ) -> SoftwarePublication:
     """Publish a software source tree, reusing an existing DOI when that
     exact version was published before.
@@ -248,7 +252,7 @@ def publish_software(
     files, and a warning is emitted. The client is made before the tree is
     read, so a profile it rejects costs no hashing.
     """
-    client = client or RepositoryClient(profile)
+    client = RepositoryClient(profile)
     version = detect_version(source_dir)
     if version.dirty:
         logger.warning(
@@ -257,7 +261,7 @@ def publish_software(
         )
 
     with cache.lock() if cache is not None else nullcontext():
-        deposition = _find_published(profile, client, cache, version)
+        deposition = _find_published(client, cache, version)
         if deposition is not None:
             if not private and deposition.state is DepositionState.PRIVATE:
                 logger.info("making private publication %d public", deposition.id)
@@ -278,11 +282,12 @@ def publish_software(
             )
             manifest = PublicationManifest(
                 entries=(entry,),
-                title=f"{source_dir.name} source ({version.id[:12]})",
-                description=f"Source tree of {source_dir.name} at version {version.key}.",
-                tags=(version.tag, source_dir.name.lower()),
-                authors=tuple(authors),
-                total_size=entry.size,
+                meta=DepositionMeta(
+                    title=f"{source_dir.name} source ({version.id[:12]})",
+                    description=f"Source tree of {source_dir.name} at version {version.key}.",
+                    tags=(version.tag, source_dir.name.lower()),
+                    authors=tuple(authors),
+                ),
             )
             result = _deposit(client, manifest, private=private)
 
@@ -300,13 +305,14 @@ def publish_software(
 
 
 def _find_published(
-    profile: BackendProfile,
     client: RepositoryClient,
     cache: DoiCache | None,
     version: SourceVersion,
 ) -> Deposition | None:
     """The existing publication of a software version: found by tag search
-    when the backend supports it, else through the DOI cache, if any."""
+    when the client's backend supports it, else through the DOI cache, if
+    any."""
+    profile = client.profile
     if profile.can_search:
         hits = client.search_by_tag(version.tag)
         if not hits:
@@ -365,13 +371,7 @@ def _deposit(
 ) -> PublicationResult:
     """Create, upload everything, publish. The draft is abandoned on upload
     failure and its id logged for manual cleanup."""
-    meta = DepositionMeta(
-        title=manifest.title,
-        description=manifest.description,
-        tags=manifest.tags,
-        authors=manifest.authors,
-    )
-    deposition = client.create_deposition(meta, private=private)
+    deposition = client.create_deposition(manifest.meta, private=private)
     logger.info(
         "created draft deposition %d (doi %s, %d files to upload)",
         deposition.id,

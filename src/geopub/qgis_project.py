@@ -6,7 +6,8 @@ names where its data lives in a ``datasource`` child. Datasource strings come
 in many flavours: plain paths, paths with provider options appended after a
 ``|``, driver-prefixed subdataset syntax (``NETCDF:"file.nc":var``), database
 connection strings, and service URLs. This module extracts the file-backed
-ones and resolves them to absolute paths.
+ones and resolves them to absolute paths, each with the companion files that
+:data:`SIDECAR_SUFFIXES` names for its suffix.
 """
 
 from __future__ import annotations
@@ -16,27 +17,20 @@ import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .errors import ParseError
 
 logger = logging.getLogger(__name__)
 
-#: Companion files a shapefile needs to be usable, probed in this order.
-SHAPEFILE_SIDECAR_EXTENSIONS = (".shx", ".dbf", ".prj", ".cpg", ".qpj")
+#: Companion files a data file needs to be usable, keyed by the data file's
+#: lowercased suffix and probed in this order.
+SIDECAR_SUFFIXES: dict[str, tuple[str, ...]] = {
+    ".shp": (".shx", ".dbf", ".prj", ".cpg", ".qpj"),
+}
 
 _URL_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
 _DRIVER_PREFIX = re.compile(r"^([A-Za-z][A-Za-z0-9_]*):(.+)$", re.DOTALL)
-
-
-class SourceKind(Enum):
-    """Classification of a file-backed datasource by extension."""
-
-    SHAPEFILE = "shapefile"
-    NETCDF = "netcdf"
-    RASTER = "raster"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class LayerEntry:
 
     layer_name: str
     raw_datasource: str
-    provider: str = ""
 
 
 @dataclass(frozen=True)
@@ -59,20 +52,10 @@ class ProjectFile:
 
 @dataclass(frozen=True)
 class DataSourceRef:
-    """A datasource resolved to a concrete file on the filesystem."""
+    """A datasource resolved to a file, with the sidecars found next to it."""
 
     resolved_path: Path
-    kind: SourceKind
     sidecars: tuple[Path, ...]
-    origin_layer: str
-
-
-@dataclass(frozen=True)
-class NonFileSource:
-    """A datasource that denotes a database or remote service, not a file."""
-
-    raw: str
-    origin_layer: str
 
 
 def parse_project(path: str | os.PathLike) -> ProjectFile:
@@ -97,43 +80,35 @@ def parse_project(path: str | os.PathLike) -> ProjectFile:
             f"{project_path}: unrecognized root element <{root.tag}>, expected <qgis>"
         )
 
-    title_el = root.find("title")
-    title = (title_el.text or "").strip() if title_el is not None else ""
+    title = (root.findtext("title") or "").strip()
 
     layers = []
     for container in root.iter("projectlayers"):
         for maplayer in container.iter("maplayer"):
-            datasource_el = maplayer.find("datasource")
-            raw = datasource_el.text if datasource_el is not None else None
-            if raw is None or not raw.strip():
-                continue
-            name_el = maplayer.find("layername")
-            provider_el = maplayer.find("provider")
-            layers.append(
-                LayerEntry(
-                    layer_name=(name_el.text or "").strip() if name_el is not None else "",
-                    raw_datasource=raw,
-                    provider=(provider_el.text or "").strip() if provider_el is not None else "",
-                )
-            )
+            raw = maplayer.findtext("datasource") or ""
+            if raw.strip():
+                name = (maplayer.findtext("layername") or "").strip()
+                layers.append(LayerEntry(layer_name=name, raw_datasource=raw))
 
     return ProjectFile(path=project_path, title=title, layers=tuple(layers))
 
 
 def resolve_datasource(
     entry: LayerEntry, project_dir: str | os.PathLike
-) -> DataSourceRef | NonFileSource:
+) -> DataSourceRef | None:
     """Resolve one layer's datasource string to a file reference.
 
     Provider options (everything from the first ``|``) and driver prefixes
     (``NAME:`` followed by a quoted or unquoted path) are stripped to obtain
     the candidate path; relative candidates are resolved against
-    ``project_dir``. Strings that denote databases or remote services
-    (``dbname=``, ``url=``, or a URL scheme) yield :class:`NonFileSource`.
+    ``project_dir``. The sidecars are the existing files that
+    :data:`SIDECAR_SUFFIXES` names for the path's suffix. Strings that denote
+    databases or remote services (``dbname=``, ``url=``, or a URL scheme)
+    yield None.
     """
     raw = entry.raw_datasource.strip()
     if "dbname=" in raw or "url=" in raw or _URL_SCHEME.match(raw):
-        return NonFileSource(raw=entry.raw_datasource, origin_layer=entry.layer_name)
+        return None
 
     candidate = raw.split("|", 1)[0].strip()
     candidate = _strip_driver_prefix(candidate)
@@ -142,14 +117,12 @@ def resolve_datasource(
         candidate = os.path.join(os.path.abspath(project_dir), candidate)
     resolved = Path(os.path.normpath(candidate))
 
-    kind = _classify(resolved)
-    sidecars = _existing_sidecars(resolved) if kind is SourceKind.SHAPEFILE else ()
-    return DataSourceRef(
-        resolved_path=resolved,
-        kind=kind,
-        sidecars=sidecars,
-        origin_layer=entry.layer_name,
+    sidecars = tuple(
+        sidecar
+        for suffix in SIDECAR_SUFFIXES.get(resolved.suffix.lower(), ())
+        if (sidecar := resolved.with_suffix(suffix)).is_file()
     )
+    return DataSourceRef(resolved_path=resolved, sidecars=sidecars)
 
 
 def collect_datasources(project: ProjectFile) -> list[DataSourceRef]:
@@ -159,23 +132,18 @@ def collect_datasources(project: ProjectFile) -> list[DataSourceRef]:
     by resolved path, keeping the first occurrence, in order of first
     appearance.
     """
-    project_dir = project.path.parent
-    seen: set[Path] = set()
-    refs: list[DataSourceRef] = []
+    refs: dict[Path, DataSourceRef] = {}
     for entry in project.layers:
-        ref = resolve_datasource(entry, project_dir)
-        if isinstance(ref, NonFileSource):
+        ref = resolve_datasource(entry, project.path.parent)
+        if ref is None:
             logger.warning(
                 "skipping non-file datasource of layer %r: %s",
                 entry.layer_name,
-                ref.raw.strip(),
+                entry.raw_datasource.strip(),
             )
-            continue
-        if ref.resolved_path in seen:
-            continue
-        seen.add(ref.resolved_path)
-        refs.append(ref)
-    return refs
+        else:
+            refs.setdefault(ref.resolved_path, ref)
+    return list(refs.values())
 
 
 def _strip_driver_prefix(candidate: str) -> str:
@@ -190,23 +158,3 @@ def _strip_driver_prefix(candidate: str) -> str:
         return rest[1:]
     # Unquoted subdataset syntax: the path runs up to the next colon, if any.
     return rest.split(":", 1)[0]
-
-
-def _classify(path: Path) -> SourceKind:
-    ext = path.suffix.lower()
-    if ext == ".shp":
-        return SourceKind.SHAPEFILE
-    if ext == ".nc":
-        return SourceKind.NETCDF
-    if ext in (".tif", ".tiff", ".asc"):
-        return SourceKind.RASTER
-    return SourceKind.OTHER
-
-
-def _existing_sidecars(shapefile: Path) -> tuple[Path, ...]:
-    found = []
-    for ext in SHAPEFILE_SIDECAR_EXTENSIONS:
-        sidecar = shapefile.with_suffix(ext)
-        if sidecar.is_file():
-            found.append(sidecar)
-    return tuple(found)

@@ -26,7 +26,7 @@ from typing import IO, Mapping
 from urllib.parse import quote, unquote, urlsplit
 
 from .errors import CapabilityNotSupportedError, ConfigError, NetworkError, ProtocolError
-from .manifest import ManifestEntry
+from .manifest import DepositionMeta, ManifestEntry
 from .vcs_info import AuthorRef
 
 logger = logging.getLogger(__name__)
@@ -113,16 +113,6 @@ class PublicationResult:
     publication_id: int
     doi: str
     doi_active: bool
-
-
-@dataclass(frozen=True)
-class DepositionMeta:
-    """Metadata sent when creating a deposition."""
-
-    title: str
-    description: str = ""
-    tags: tuple[str, ...] = ()
-    authors: tuple[AuthorRef, ...] = ()
 
 
 def author_service_id(author: AuthorRef, profile_name: str) -> str | None:

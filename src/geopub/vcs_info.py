@@ -186,13 +186,21 @@ def parse_authors(source_dir: str | os.PathLike) -> list[AuthorRef]:
     repository-service ids. An absent file yields an empty list.
 
     Raises:
-        AuthorsFormatError: a line matches none of the accepted shapes.
+        AuthorsFormatError: a line is not UTF-8 or matches none of the
+            accepted shapes.
     """
     path = Path(source_dir) / "AUTHORS"
     if not path.is_file():
         return []
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first undecodable byte, numbered as below.
+        line_number = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise AuthorsFormatError(line_number, f"not UTF-8: {exc.reason}") from None
     authors: list[AuthorRef] = []
-    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -25,13 +25,13 @@ def _unescape(text: str) -> str:
     return text
 
 
-def scan_datasources(project_path: str) -> list[tuple[str, str, tuple[str, ...]]]:
-    """All file datasources of a project as (path, kind, sidecars) rows."""
+def scan_datasources(project_path: str) -> list[tuple[str, tuple[str, ...]]]:
+    """All file datasources of a project as (path, sidecars) rows."""
     with open(project_path, encoding="utf-8") as handle:
         text = handle.read()
     project_dir = os.path.dirname(os.path.abspath(project_path))
 
-    rows: list[tuple[str, str, tuple[str, ...]]] = []
+    rows: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
     for raw in _DATASOURCE.findall(text):
         raw = _unescape(raw).strip()
@@ -57,21 +57,11 @@ def scan_datasources(project_path: str) -> list[tuple[str, str, tuple[str, ...]]
             continue
         seen.add(resolved)
 
-        lower = resolved.lower()
-        if lower.endswith(".shp"):
-            kind = "shapefile"
-        elif lower.endswith(".nc"):
-            kind = "netcdf"
-        elif lower.endswith((".tif", ".tiff", ".asc")):
-            kind = "raster"
-        else:
-            kind = "other"
-
         sidecars: tuple[str, ...] = ()
-        if kind == "shapefile":
+        if resolved.lower().endswith(".shp"):
             stem = resolved[: -len(".shp")]
             sidecars = tuple(
                 stem + ext for ext in _SIDECAR_ORDER if os.path.isfile(stem + ext)
             )
-        rows.append((resolved, kind, sidecars))
+        rows.append((resolved, sidecars))
     return rows

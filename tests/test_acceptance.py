@@ -313,7 +313,7 @@ def test_5_parser_oracle_equivalence(tmp_path, orkney):
     for project_path in projects:
         expected = scan_datasources(str(project_path))
         got = [
-            (str(ref.resolved_path), ref.kind.value, tuple(str(s) for s in ref.sidecars))
+            (str(ref.resolved_path), tuple(str(s) for s in ref.sidecars))
             for ref in collect_datasources(parse_project(project_path))
         ]
         assert got == expected, f"parser and reference scan disagree on {project_path.name}"

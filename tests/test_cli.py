@@ -366,6 +366,37 @@ class TestConfigPrecedenceThroughCli:
         assert result.exit_code == 0, result.stderr
 
 
+class TestUnusableInputExitCodes:
+    @pytest.mark.parametrize(
+        "config_bytes,expected",
+        [
+            (b"[profile.figshare-like]\nbase_url = 8472\n", "geopub.toml:2: base_url must be"),
+            (b"cache_path = 5\n", "geopub.toml:1: cache_path must be"),
+            (b'default_profile = "figshare-like"\n# caf\xff\n', "geopub.toml"),
+        ],
+        ids=["base_url", "cache_path", "non_utf8"],
+    )
+    def test_bad_config_exits_2(self, runner, orkney, tmp_path, config_bytes, expected):
+        config_path = tmp_path / "geopub.toml"
+        config_path.write_bytes(config_bytes)
+        result = runner.invoke(
+            main,
+            ["publish", "data", "--project", str(orkney.project), "--dry-run"],
+            env={"GEOPUB_CONFIG": str(config_path)},
+        )
+        assert result.exit_code == 2
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and expected in line
+
+    def test_non_utf8_authors_exits_3(self, runner, source_tree, backend, tmp_path):
+        (source_tree / "AUTHORS").write_bytes(b"Ada Lovelace <ada@example.org>\nB\xff <b@b>\n")
+        env = cli_env(tmp_path, backend)
+        result = runner.invoke(main, ["publish", "software", "--source", str(source_tree)], env=env)
+        assert result.exit_code == 3
+        assert "AUTHORS line 2" in result.stderr
+        assert backend.service.deposition_count() == 0
+
+
 def _fresh_python(code: str, *args: str, env: dict[str, str] | None = None):
     """Run ``code`` in a fresh interpreter in which ``requests`` cannot be
     imported, as on an install that has only geopub's dependencies."""

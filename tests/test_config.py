@@ -93,6 +93,32 @@ class TestFileParsing:
         with pytest.raises(ConfigError, match=r"c\.toml:2"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("[profile.x]\nbase_url = 8472\n", 2, "base_url must be a quoted string"),
+            ("cache_path = 5\n", 1, "cache_path must be a quoted string"),
+            ("default_profile = true\n", 1, "default_profile must be a quoted string"),
+            ('[profile.inst]\ncan_search = "no"\n', 2, "can_search must be true or false"),
+            ("[profile.x]\ntoken = false\n", 2, "token must be a quoted string or an integer"),
+        ],
+        ids=["base_url", "cache_path", "default_profile", "can_search", "token"],
+    )
+    def test_value_of_wrong_type_names_line(self, tmp_path, text, line, message):
+        path = _write(tmp_path / "c.toml", text)
+        with pytest.raises(ConfigError, match=rf"c\.toml:{line}: {message}$"):
+            load_config(path)
+
+    def test_token_may_be_an_unquoted_integer(self, tmp_path):
+        path = _write(tmp_path / "c.toml", "[profile.figshare-like]\ntoken = 12345\n")
+        assert load_config(path).profiles["figshare-like"].auth_token == 12345
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.toml"
+        path.write_bytes(b'default_profile = "figshare-like"\n# caf\xff\n')
+        with pytest.raises(ConfigError, match=r"c\.toml"):
+            load_config(path)
+
     def test_new_profile_requires_base_url(self, tmp_path):
         path = _write(tmp_path / "c.toml", '[profile.new]\ntoken = "t"\n')
         with pytest.raises(ConfigError, match="base_url"):

@@ -160,12 +160,12 @@ class TestBuildManifest:
 
     def test_metadata_defaults_and_overrides(self, orkney):
         manifest = _orkney_manifest(orkney)
-        assert manifest.title == "orkney"
-        assert "orkney.qgs" in manifest.description
-        assert "7" in manifest.description
+        assert manifest.meta.title == "orkney"
+        assert "orkney.qgs" in manifest.meta.description
+        assert "7" in manifest.meta.description
         overridden = _orkney_manifest(orkney, title="My Title", description="My words.")
-        assert overridden.title == "My Title"
-        assert overridden.description == "My words."
+        assert overridden.meta.title == "My Title"
+        assert overridden.meta.description == "My words."
 
     def test_mesh_header_mismatch_warns_but_builds(self, orkney, caplog):
         orkney.mesh.write_text("not a mesh at all\n")

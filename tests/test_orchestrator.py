@@ -52,9 +52,7 @@ def cache(tmp_path: Path) -> DoiCache:
 
 class TestPublishData:
     def test_end_to_end_against_mock(self, orkney, backend):
-        result = publish_data(
-            backend.profile, orkney.project, orkney.mesh, client=backend.client()
-        )
+        result = publish_data(backend.profile, orkney.project, orkney.mesh)
         assert result.doi_active is True
 
         record = backend.service.deposition_record(result.publication_id)
@@ -66,23 +64,21 @@ class TestPublishData:
         assert [f["sha256"] for f in record["files"]] == [e.sha256 for e in manifest.entries]
 
     def test_private_keeps_doi_inactive(self, orkney, backend):
-        result = publish_data(
-            backend.profile, orkney.project, private=True, client=backend.client()
-        )
+        result = publish_data(backend.profile, orkney.project, private=True)
         assert result.doi_active is False
         assert backend.service.deposition_record(result.publication_id)["state"] == "private"
 
     def test_missing_file_fails_before_any_network_traffic(self, orkney, backend):
         orkney.bathymetry.unlink()
         with pytest.raises(MissingFileError):
-            publish_data(backend.profile, orkney.project, client=backend.client())
+            publish_data(backend.profile, orkney.project)
         assert backend.service.request_count == 0
 
     def test_upload_failure_abandons_draft(self, orkney, backend, caplog):
         backend.service.inject_fault(Fault.drop(), on="upload")
         with caplog.at_level(logging.ERROR, logger="geopub.orchestrator"):
             with pytest.raises(NetworkError):
-                publish_data(backend.profile, orkney.project, client=backend.client())
+                publish_data(backend.profile, orkney.project)
         # The draft stays on the server for manual cleanup, and its id is
         # reported.
         assert backend.service.deposition_count() == 1
@@ -95,7 +91,6 @@ class TestPublishData:
             orkney.project,
             title="Custom Title",
             description="Custom description.",
-            client=backend.client(),
         )
         record = backend.service.deposition_record(result.publication_id)
         assert record["title"] == "Custom Title"
@@ -106,7 +101,6 @@ class TestPublishData:
             backend.profile,
             orkney.project,
             related_software_doi="10.5072/geopub.77",
-            client=backend.client(),
         )
         record = backend.service.deposition_record(result.publication_id)
         assert "uses-software-doi:10.5072/geopub.77" in record["tags"]
@@ -120,16 +114,55 @@ class TestPublishData:
                 backend.profile,
                 orkney.project,
                 related_software_doi="   ",
-                client=backend.client(),
             )
         assert backend.service.request_count == 0
         assert backend.service.deposition_count() == 0
 
 
+class TestPlanReachesServer:
+    """The server records exactly the metadata of the manifest a flow
+    deposits."""
+
+    @pytest.fixture
+    def deposited(self, monkeypatch) -> list:
+        manifests = []
+        deposit = orchestrator._deposit
+
+        def spy(client, manifest, **kwargs):
+            manifests.append(manifest)
+            return deposit(client, manifest, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "_deposit", spy)
+        return manifests
+
+    @staticmethod
+    def _assert_recorded(backend, publication_id, meta):
+        record = backend.service.deposition_record(publication_id)
+        assert record["title"] == meta.title
+        assert record["description"] == meta.description
+        assert record["tags"] == list(meta.tags)
+        assert [author["name"] for author in record["authors"]] == [a.name for a in meta.authors]
+
+    def test_data(self, orkney, backend, deposited):
+        doi = "10.5072/geopub.77"
+        result = publish_data(backend.profile, orkney.project, orkney.mesh, related_software_doi=doi)
+        [manifest] = deposited
+        assert manifest == plan_data(orkney.project, orkney.mesh, related_software_doi=doi)
+        assert manifest.meta.tags[-1] == f"uses-software-doi:{doi}"
+        self._assert_recorded(backend, result.publication_id, manifest.meta)
+
+    def test_fresh_software(self, source_tree, backend, deposited):
+        outcome = publish_software(backend.profile, source_tree)
+        [manifest] = deposited
+        assert outcome.reused is False
+        assert [a.name for a in manifest.meta.authors] == ["Ada Lovelace"]
+        self._assert_recorded(backend, outcome.result.publication_id, manifest.meta)
+
+
 class TestPublishSoftware:
     def test_idempotent_on_searchable_backend(self, source_tree, backend):
-        first = publish_software(backend.profile, source_tree, client=backend.client())
-        second = publish_software(backend.profile, source_tree, client=backend.client())
+        first = publish_software(backend.profile, source_tree)
+        second = publish_software(backend.profile, source_tree)
         assert first.reused is False
         assert second.reused is True
         assert first.result.doi == second.result.doi
@@ -137,36 +170,28 @@ class TestPublishSoftware:
 
     def test_two_publications_without_search_or_cache(self, source_tree, make_backend):
         backend = make_backend(ServiceConfig.zenodo_like())
-        first = publish_software(
-            backend.profile, source_tree, client=backend.client()
-        )
-        second = publish_software(
-            backend.profile, source_tree, client=backend.client()
-        )
+        first = publish_software(backend.profile, source_tree)
+        second = publish_software(backend.profile, source_tree)
         assert backend.service.deposition_count() == 2
         assert first.result.doi != second.result.doi
 
     def test_cache_restores_idempotence_without_search(self, source_tree, make_backend, cache):
         backend = make_backend(ServiceConfig.zenodo_like())
-        first = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
-        second = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
+        first = publish_software(backend.profile, source_tree, cache=cache)
+        second = publish_software(backend.profile, source_tree, cache=cache)
         assert backend.service.deposition_count() == 1
         assert second.reused is True
         assert first.result.doi == second.result.doi
 
     def test_version_tag_and_archive_name_on_server(self, source_tree, backend):
-        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        outcome = publish_software(backend.profile, source_tree)
         version = detect_version(source_tree)
         record = backend.service.deposition_record(outcome.result.publication_id)
         assert version.tag in record["tags"]
         assert record["files"][0]["name"] == f"meshtool-{version.id[:12]}.tar"
 
     def test_authors_file_feeds_deposition(self, source_tree, backend):
-        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        outcome = publish_software(backend.profile, source_tree)
         record = backend.service.deposition_record(outcome.result.publication_id)
         assert record["authors"] == [{"name": "Ada Lovelace", "id": "554577"}]
 
@@ -174,7 +199,7 @@ class TestPublishSoftware:
         _commit_all(source_tree)
         head = _git(source_tree, "rev-parse", "HEAD")
         (source_tree / "README").write_text("edited\n")
-        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        outcome = publish_software(backend.profile, source_tree)
         assert outcome.version.dirty is True
         assert outcome.version.id == head
         record = backend.service.deposition_record(outcome.result.publication_id)
@@ -192,11 +217,9 @@ class TestPublishSoftware:
         )
         _commit_all(source_tree)
         (source_tree / "README").write_text("first edit\n")
-        first = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        first = publish_software(backend.profile, source_tree, cache=cache)
         (source_tree / "README").write_text("second edit\n")
-        second = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
+        second = publish_software(backend.profile, source_tree, cache=cache)
         assert second.reused is False
         assert second.result.doi != first.result.doi
         assert backend.service.deposition_count() == 2
@@ -212,7 +235,7 @@ class TestPublishSoftware:
         nested.mkdir()
         (nested / "main.py").write_text("print('new')\n")
         with pytest.raises(FileNotFoundError, match="git tracks no file"):
-            publish_software(backend.profile, nested, client=backend.client())
+            publish_software(backend.profile, nested)
         assert backend.service.deposition_count() == 0
 
     @pytest.mark.parametrize("searchable", [True, False], ids=["search", "cache"])
@@ -224,10 +247,8 @@ class TestPublishSoftware:
         )
         _commit_all(source_tree)
         (source_tree / "README").write_text("edited\n")
-        first = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
-        second = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
+        first = publish_software(backend.profile, source_tree, cache=cache)
+        second = publish_software(backend.profile, source_tree, cache=cache)
         assert second.reused is True
         assert second.result.doi == first.result.doi
         assert backend.service.deposition_count() == 1
@@ -244,9 +265,7 @@ class TestPublishSoftware:
                 created_at="2026-01-01T00:00:00+00:00",
             )
         )
-        outcome = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
+        outcome = publish_software(backend.profile, source_tree, cache=cache)
         assert outcome.reused is False
         refreshed = cache.get(backend.profile.name, version.id)
         assert refreshed.publication_id == outcome.result.publication_id
@@ -255,7 +274,7 @@ class TestPublishSoftware:
         backend = make_backend(ServiceConfig.zenodo_like())
         _commit_all(source_tree)
         head = _git(source_tree, "rev-parse", "HEAD")
-        published = publish_software(backend.profile, source_tree, client=backend.client())
+        published = publish_software(backend.profile, source_tree)
         # A record keyed by the bare head commit, as every earlier version wrote it.
         cache.put(
             DoiCacheRecord(
@@ -266,15 +285,13 @@ class TestPublishSoftware:
                 created_at="2026-01-01T00:00:00+00:00",
             )
         )
-        outcome = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
+        outcome = publish_software(backend.profile, source_tree, cache=cache)
         assert outcome.reused is True
         assert outcome.result.doi == published.result.doi
 
     def test_cache_records_are_software_kind_only(self, source_tree, make_backend, cache):
         backend = make_backend(ServiceConfig.zenodo_like())
-        publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        publish_software(backend.profile, source_tree, cache=cache)
         document = json.loads(cache.path.read_text())
         assert {r["artifact_kind"] for r in document["records"]} == {"software"}
 
@@ -285,10 +302,8 @@ class TestPublishSoftware:
         backend = make_backend(
             ServiceConfig.figshare_like() if searchable else ServiceConfig.zenodo_like()
         )
-        first = publish_software(
-            backend.profile, source_tree, private=True, cache=cache, client=backend.client()
-        )
-        second = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        first = publish_software(backend.profile, source_tree, private=True, cache=cache)
+        second = publish_software(backend.profile, source_tree, cache=cache)
         assert second.reused is True
         assert second.result.publication_id == first.result.publication_id
         assert second.result.doi == first.result.doi
@@ -302,19 +317,15 @@ class TestPublishSoftware:
         backend = make_backend(
             ServiceConfig.figshare_like() if searchable else ServiceConfig.zenodo_like()
         )
-        first = publish_software(backend.profile, source_tree, cache=cache, client=backend.client())
+        first = publish_software(backend.profile, source_tree, cache=cache)
         # A make_public request would now fail the run.
         backend.service.inject_fault(Fault.http500(), on="make_public")
-        second = publish_software(
-            backend.profile, source_tree, private=True, cache=cache, client=backend.client()
-        )
+        second = publish_software(backend.profile, source_tree, private=True, cache=cache)
         assert second.reused is True
         assert second.result == first.result
 
     def test_private_software_publication(self, source_tree, backend):
-        outcome = publish_software(
-            backend.profile, source_tree, private=True, client=backend.client()
-        )
+        outcome = publish_software(backend.profile, source_tree, private=True)
         assert outcome.result.doi_active is False
 
 
@@ -386,9 +397,7 @@ class TestDoiCache:
         backend = make_backend(ServiceConfig.zenodo_like())
         with DoiCache(cache.path).lock():
             with pytest.raises(CacheLockError):
-                publish_software(
-                    backend.profile, source_tree, cache=cache, client=backend.client()
-                )
+                publish_software(backend.profile, source_tree, cache=cache)
 
     def test_lock_released_after_use(self, cache):
         with cache.lock():
@@ -413,9 +422,7 @@ class TestDoiCache:
         assert child.returncode == 17
 
         backend = make_backend(ServiceConfig.zenodo_like())
-        outcome = publish_software(
-            backend.profile, source_tree, cache=cache, client=backend.client()
-        )
+        outcome = publish_software(backend.profile, source_tree, cache=cache)
         assert outcome.reused is False
         assert cache.get(backend.profile.name, outcome.version.id)
 
@@ -561,7 +568,7 @@ class TestCost:
 
     def test_fresh_plain_publication_lists_tree_once(self, source_tree, backend, monkeypatch):
         scans = _count_calls(monkeypatch, os, "scandir")
-        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        outcome = publish_software(backend.profile, source_tree)
         assert outcome.reused is False
         assert [str(path) for path, in scans].count(str(source_tree)) == 1
 
@@ -569,11 +576,11 @@ class TestCost:
         self, source_tree, backend, monkeypatch
     ):
         _commit_all(source_tree)
-        publish_software(backend.profile, source_tree, client=backend.client())
+        publish_software(backend.profile, source_tree)
         processes = _count_calls(monkeypatch, subprocess, "Popen")
         listings = _count_calls(monkeypatch, vcs_info, "_list_files")
         scans = _count_calls(monkeypatch, os, "scandir")
-        outcome = publish_software(backend.profile, source_tree, client=backend.client())
+        outcome = publish_software(backend.profile, source_tree)
         assert outcome.reused is True
         assert len(processes) == 1
         assert listings == scans == []
@@ -585,7 +592,7 @@ class TestCost:
         if under_git:
             _commit_all(source_tree)
         built = _count_calls(monkeypatch, orchestrator, "build_source_archive")
-        first = publish_software(backend.profile, source_tree, client=backend.client())
-        second = publish_software(backend.profile, source_tree, client=backend.client())
+        first = publish_software(backend.profile, source_tree)
+        second = publish_software(backend.profile, source_tree)
         assert (first.reused, second.reused) == (False, True)
         assert len(built) == 1

@@ -14,8 +14,6 @@ from geopub.errors import ParseError
 from geopub.qgis_project import (
     DataSourceRef,
     LayerEntry,
-    NonFileSource,
-    SourceKind,
     collect_datasources,
     parse_project,
     resolve_datasource,
@@ -69,10 +67,9 @@ class TestParseProject:
         path.write_text('<qgis version="2.8"><projectlayers/></qgis>')
         assert parse_project(path).title == ""
 
-    def test_provider_and_raw_datasource_are_verbatim(self, tmp_path):
+    def test_raw_datasource_is_verbatim(self, tmp_path):
         path = write_project(tmp_path / "p.qgs", [("layer", "./a.nc|layername=z")])
         layer = parse_project(path).layers[0]
-        assert layer.provider == "ogr"
         assert layer.raw_datasource == "./a.nc|layername=z"
 
     def test_empty_datasources_are_dropped(self, tmp_path):
@@ -95,50 +92,33 @@ class TestResolveDatasource:
         ref = resolve_datasource(entry, "/home/u/p")
         assert isinstance(ref, DataSourceRef)
         assert ref.resolved_path == Path("/data/coast.shp")
-        assert ref.kind is SourceKind.SHAPEFILE
 
     def test_relative_with_pipe_suffix(self):
         entry = LayerEntry(layer_name="z", raw_datasource="./bathy/depth.nc|layername=z")
         ref = resolve_datasource(entry, "/home/u/p")
         assert ref.resolved_path == Path("/home/u/p/bathy/depth.nc")
-        assert ref.kind is SourceKind.NETCDF
 
     def test_database_source_is_non_file(self):
         entry = LayerEntry(layer_name="pg", raw_datasource="dbname='gis' table=\"coast\"")
-        assert isinstance(resolve_datasource(entry, "/p"), NonFileSource)
+        assert resolve_datasource(entry, "/p") is None
 
     def test_url_parameter_is_non_file(self):
         entry = LayerEntry(layer_name="wms", raw_datasource="crs=EPSG:4326&url=http://x/ows")
-        assert isinstance(resolve_datasource(entry, "/p"), NonFileSource)
+        assert resolve_datasource(entry, "/p") is None
 
     def test_url_scheme_is_non_file(self):
         entry = LayerEntry(layer_name="tiles", raw_datasource="https://tiles.example/a.png")
-        assert isinstance(resolve_datasource(entry, "/p"), NonFileSource)
+        assert resolve_datasource(entry, "/p") is None
 
     def test_quoted_subdataset_prefix(self):
         entry = LayerEntry(layer_name="b", raw_datasource='NETCDF:"./grids/bathy.nc":depth')
         ref = resolve_datasource(entry, "/p")
         assert ref.resolved_path == Path("/p/grids/bathy.nc")
-        assert ref.kind is SourceKind.NETCDF
 
     def test_unquoted_subdataset_prefix(self):
         entry = LayerEntry(layer_name="b", raw_datasource="NETCDF:grids/bathy.nc:depth")
         ref = resolve_datasource(entry, "/p")
         assert ref.resolved_path == Path("/p/grids/bathy.nc")
-
-    @pytest.mark.parametrize(
-        "filename,kind",
-        [
-            ("dem.tif", SourceKind.RASTER),
-            ("dem.TIFF", SourceKind.RASTER),
-            ("grid.asc", SourceKind.RASTER),
-            ("area.geojson", SourceKind.OTHER),
-            ("noext", SourceKind.OTHER),
-        ],
-    )
-    def test_kind_classification(self, filename, kind):
-        entry = LayerEntry(layer_name="x", raw_datasource=f"/data/{filename}")
-        assert resolve_datasource(entry, "/p").kind is kind
 
     def test_sidecars_only_existing_ones(self, tmp_path):
         shp = tmp_path / "coast.shp"
@@ -148,6 +128,14 @@ class TestResolveDatasource:
         entry = LayerEntry(layer_name="c", raw_datasource=str(shp))
         ref = resolve_datasource(entry, tmp_path)
         assert ref.sidecars == (tmp_path / "coast.dbf", tmp_path / "coast.prj")
+
+    @pytest.mark.parametrize("filename", ["coast.SHP", "coast.Shp"])
+    def test_sidecar_table_is_keyed_by_lowercased_suffix(self, tmp_path, filename):
+        shp = tmp_path / filename
+        shp.write_bytes(b"shp")
+        (tmp_path / "coast.shx").write_bytes(b"shx")
+        entry = LayerEntry(layer_name="c", raw_datasource=str(shp))
+        assert resolve_datasource(entry, tmp_path).sidecars == (tmp_path / "coast.shx",)
 
     def test_non_shapefile_has_no_sidecars(self, tmp_path):
         (tmp_path / "depth.nc").write_bytes(b"nc")
@@ -163,8 +151,7 @@ class TestCollectDatasources:
             [("a", "./data/zones.shp"), ("b", "./data/zones.shp")],
         )
         refs = collect_datasources(parse_project(path))
-        assert len(refs) == 1
-        assert refs[0].origin_layer == "a"
+        assert [ref.resolved_path for ref in refs] == [tmp_path / "data" / "zones.shp"]
 
     def test_orkney_refs_and_sidecars(self, orkney):
         refs = collect_datasources(parse_project(orkney.project))
@@ -223,7 +210,7 @@ class TestReferenceScanEquivalence:
         for project_path in projects:
             expected = scan_datasources(str(project_path))
             got = [
-                (str(ref.resolved_path), ref.kind.value, tuple(str(s) for s in ref.sidecars))
+                (str(ref.resolved_path), tuple(str(s) for s in ref.sidecars))
                 for ref in collect_datasources(parse_project(project_path))
             ]
             assert got == expected, f"mismatch for {project_path.name}"
@@ -231,7 +218,7 @@ class TestReferenceScanEquivalence:
     def test_orkney_matches_brute_force(self, orkney):
         expected = scan_datasources(str(orkney.project))
         got = [
-            (str(ref.resolved_path), ref.kind.value, tuple(str(s) for s in ref.sidecars))
+            (str(ref.resolved_path), tuple(str(s) for s in ref.sidecars))
             for ref in collect_datasources(parse_project(orkney.project))
         ]
         assert got == expected

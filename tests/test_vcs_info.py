@@ -265,6 +265,12 @@ class TestParseAuthors:
             parse_authors(tmp_path)
         assert excinfo.value.line_number == 2
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        (tmp_path / "AUTHORS").write_bytes(b"Ok Person <a@b>\r\nBad \xff Person <c@d>\n")
+        with pytest.raises(AuthorsFormatError) as excinfo:
+            parse_authors(tmp_path)
+        assert excinfo.value.line_number == 2
+
     def test_empty_name_rejected(self, tmp_path):
         (tmp_path / "AUTHORS").write_text(" <anon@example.org>\n")
         with pytest.raises(AuthorsFormatError):
