@@ -54,7 +54,6 @@ from .repo_protocol import (
     BackendProfile,
     Deposition,
     DepositionState,
-    DepositionSummary,
     PublicationResult,
     RemoteFile,
     RepositoryClient,
@@ -84,7 +83,6 @@ __all__ = [
     "Deposition",
     "DepositionMeta",
     "DepositionState",
-    "DepositionSummary",
     "DoiCache",
     "DoiCacheRecord",
     "GeopubError",

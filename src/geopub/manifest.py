@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,6 +71,30 @@ def checksum_file(path: str | os.PathLike) -> str:
         while chunk := handle.read(_CHUNK):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def write_durably(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temporary file beside it.
+
+    The temporary file is fsynced before it is renamed over ``path``, and the
+    directory after, so neither an interrupted write nor a power loss leaves
+    ``path`` partial or empty: it holds the old text or the new.
+    """
+    fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+    except BaseException:
+        os.unlink(temp_name)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def derive_metadata(project: ProjectFile) -> tuple[str, list[str]]:

@@ -15,10 +15,8 @@ import hashlib
 import io
 import json
 import logging
-import os
 import re
 import signal
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, asdict
@@ -33,6 +31,7 @@ import click
 from . import repo_protocol
 from .config import default_profiles
 from .errors import BindError
+from .manifest import write_durably
 from .repo_protocol import RemoteFile
 
 logger = logging.getLogger(__name__)
@@ -117,10 +116,11 @@ class _DepositionRecord:
         return sum(f.size for f in self.files)
 
     def status(self) -> dict:
-        """The status document of create, publish and make_public."""
+        """The status document of publish and make_public."""
         return {"id": self.id, "doi": self.doi, "doi_active": self.doi_active, "state": self.state}
 
     def public_document(self) -> dict:
+        """The deposition document of create, get and each search row."""
         return {
             **self.status(),
             "title": self.title,
@@ -194,8 +194,9 @@ class MockService:
     # -- persistence (optional snapshot for the standalone server)
 
     def save_snapshot(self, path: str | Path) -> None:
-        """Write the state to ``path`` through a temporary file, so an
-        interrupted write leaves the previous snapshot whole."""
+        """Write the state to ``path`` with :func:`manifest.write_durably`, so
+        an interrupted write or a power loss leaves the previous snapshot
+        whole."""
         with self._lock:
             state = {
                 "next_id": self._next_id,
@@ -203,15 +204,7 @@ class MockService:
                     {**asdict(record)} for record in self._depositions.values()
                 ],
             }
-        path = Path(path)
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(state, handle, indent=2)
-            os.replace(temp_name, path)
-        except BaseException:
-            os.unlink(temp_name)
-            raise
+        write_durably(Path(path), json.dumps(state, indent=2))
 
     def load_snapshot(self, path: str | Path) -> None:
         state = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -296,7 +289,7 @@ class MockService:
             private_intent=bool(document.get("private", False)),
         )
         self._depositions[deposition_id] = record
-        return 201, record.status()
+        return 201, record.public_document()
 
     def _get(self, record: _DepositionRecord, _document, _query) -> tuple[int, dict]:
         return 200, record.public_document()
@@ -345,12 +338,11 @@ class MockService:
         tags = parse_qs(query).get("tag")
         if not tags:
             return 400, {"error": "validation", "message": "tag query parameter required"}
-        tag = tags[0]
         results = [
-            {"id": r.id, "doi": r.doi, "title": r.title, "tags": list(r.tags)}
+            r.public_document()
             for r in self._depositions.values()
             # Drafts are not published yet, so they are not findable.
-            if r.state != "draft" and tag in r.tags
+            if r.state != "draft" and tags[0] in r.tags
         ]
         return 200, {"results": results}
 

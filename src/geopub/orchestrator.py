@@ -25,13 +25,14 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import CacheCorruptError, CacheLockError, NotFoundError, ProtocolError, ValidationError
+from .errors import CacheCorruptError, CacheLockError, NotFoundError, ValidationError
 from .manifest import (
     DepositionMeta,
     ManifestEntry,
     PublicationManifest,
     build_manifest,
     checksum_file,
+    write_durably,
 )
 from .qgis_project import collect_datasources, parse_project
 from .repo_protocol import (
@@ -76,12 +77,12 @@ class SoftwarePublication:
 class DoiCache:
     """JSON-file-backed map from (backend, software version) to DOI.
 
-    Writes are atomic (temp file and rename) and guarded by an advisory
-    ``flock`` on a sibling ``.lock`` file; a concurrent writer fails fast
-    instead of corrupting the cache. The kernel drops the lock when its
-    holder exits, so a crashed run leaves nothing to clean up. A cache
-    file that exists but cannot be parsed aborts the operation rather than
-    being silently reset.
+    Writes are atomic and durable (:func:`manifest.write_durably`) and
+    guarded by an advisory ``flock`` on a sibling ``.lock`` file; a
+    concurrent writer fails fast instead of corrupting the cache. The kernel
+    drops the lock when its holder exits, so a crashed run leaves nothing to
+    clean up. A cache file that exists but cannot be parsed aborts the
+    operation rather than being silently reset.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -142,17 +143,7 @@ class DoiCache:
             ]
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-            os.replace(temp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except FileNotFoundError:
-                pass
-            raise
+        write_durably(self.path, json.dumps(document, indent=2))
 
     def _load(self) -> list[DoiCacheRecord]:
         if not self.path.exists():
@@ -311,25 +302,29 @@ def _find_published(
 ) -> Deposition | None:
     """The existing publication of a software version: found by tag search
     when the client's backend supports it, else through the DOI cache, if
-    any."""
+    any. A cached id counts only while its deposition carries the version's
+    tag."""
     profile = client.profile
     if profile.can_search:
         hits = client.search_by_tag(version.tag)
         if not hits:
             return None
-        deposition = client.get_deposition(hits[0].id)
-        logger.info("version already published as %s; reusing", deposition.doi)
-        return deposition
+        logger.info("version already published as %s; reusing", hits[0].doi)
+        return hits[0]
     record = cache.get(profile.name, version.key) if cache is not None else None
     if record is None:
         return None
     try:
         deposition = client.get_deposition(record.publication_id)
     except NotFoundError:
+        deposition = None
+    # A server that lost its state may have given the id to another deposition.
+    if deposition is None or version.tag not in deposition.tags:
         logger.warning(
-            "cached publication %d no longer exists on %s; republishing",
+            "cached publication %d on %s is gone or does not carry %s; republishing",
             record.publication_id,
             profile.name,
+            version.tag,
         )
         return None
     logger.info("version found in DOI cache as %s; reusing", record.doi)
@@ -369,8 +364,9 @@ def _deposit(
     *,
     private: bool,
 ) -> PublicationResult:
-    """Create, upload everything, publish. The draft is abandoned on upload
-    failure and its id logged for manual cleanup."""
+    """Create, upload everything, publish. On any failure after create the
+    draft is abandoned, its id logged for manual cleanup, and the error
+    re-raised."""
     deposition = client.create_deposition(manifest.meta, private=private)
     logger.info(
         "created draft deposition %d (doi %s, %d files to upload)",
@@ -383,11 +379,11 @@ def _deposit(
             with open(entry.path, "rb") as handle:
                 client.upload_file(deposition.id, entry, handle)
             logger.info("uploaded %s (%d bytes)", entry.name, entry.size)
-    except ProtocolError:
+        return client.publish_deposition(deposition.id, private=private)
+    except BaseException:
         logger.error(
-            "upload failed; draft deposition %d was left on the server, "
+            "publishing failed; draft deposition %d was left on the server, "
             "clean it up manually",
             deposition.id,
         )
         raise
-    return client.publish_deposition(deposition.id, private=private)

@@ -102,9 +102,9 @@ def resolve_datasource(
     (``NAME:`` followed by a quoted or unquoted path) are stripped to obtain
     the candidate path; relative candidates are resolved against
     ``project_dir``. The sidecars are the existing files that
-    :data:`SIDECAR_SUFFIXES` names for the path's suffix. Strings that denote
-    databases or remote services (``dbname=``, ``url=``, or a URL scheme)
-    yield None.
+    :data:`SIDECAR_SUFFIXES` names for the suffix from the file name's last
+    dot. Strings that denote databases or remote services (``dbname=``,
+    ``url=``, or a URL scheme) yield None.
     """
     raw = entry.raw_datasource.strip()
     if "dbname=" in raw or "url=" in raw or _URL_SCHEME.match(raw):
@@ -117,10 +117,12 @@ def resolve_datasource(
         candidate = os.path.join(os.path.abspath(project_dir), candidate)
     resolved = Path(os.path.normpath(candidate))
 
+    # Split at the name's last dot: ``Path.suffix`` of ``.shp`` is empty.
+    stem, dot, suffix = resolved.name.rpartition(".")
     sidecars = tuple(
         sidecar
-        for suffix in SIDECAR_SUFFIXES.get(resolved.suffix.lower(), ())
-        if (sidecar := resolved.with_suffix(suffix)).is_file()
+        for sidecar_suffix in SIDECAR_SUFFIXES.get(dot + suffix.lower(), ())
+        if (sidecar := resolved.with_name(stem + sidecar_suffix)).is_file()
     )
     return DataSourceRef(resolved_path=resolved, sidecars=sidecars)
 

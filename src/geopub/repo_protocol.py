@@ -97,16 +97,6 @@ class Deposition:
 
 
 @dataclass(frozen=True)
-class DepositionSummary:
-    """Search result row."""
-
-    id: int
-    doi: str
-    title: str
-    tags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PublicationResult:
     """Outcome of publishing: the citable identifiers."""
 
@@ -301,19 +291,7 @@ class RepositoryClient:
             ],
             "private": private,
         }
-        document = self._expect(self._request("create", json_body=payload), 201)
-        return Deposition(
-            id=document["id"],
-            state=DepositionState(document["state"]),
-            doi=document["doi"],
-            doi_active=document["doi_active"],
-            title=meta.title,
-            description=meta.description,
-            tags=tuple(meta.tags),
-            authors=tuple(meta.authors),
-            files=(),
-            collaborators=(),
-        )
+        return self._deposition(self._expect(self._request("create", json_body=payload), 201))
 
     def upload_file(
         self, deposition_id: int, entry: ManifestEntry, content: bytes | IO[bytes]
@@ -349,7 +327,7 @@ class RepositoryClient:
         """Flip a private deposition to public; the DOI string is unchanged."""
         return self._publication(self._request("make_public", deposition_id))
 
-    def search_by_tag(self, tag: str) -> list[DepositionSummary]:
+    def search_by_tag(self, tag: str) -> list[Deposition]:
         """Find published depositions carrying ``tag`` exactly.
 
         Raises:
@@ -362,34 +340,11 @@ class RepositoryClient:
         document = self._expect(
             self._request("search", query=f"?tag={quote(tag, safe='')}"), 200
         )
-        return [
-            DepositionSummary(
-                id=row["id"], doi=row["doi"], title=row["title"], tags=tuple(row["tags"])
-            )
-            for row in document["results"]
-        ]
+        return [self._deposition(row) for row in document["results"]]
 
     def get_deposition(self, deposition_id: int) -> Deposition:
         """Fetch the full server-side record, files included."""
-        document = self._expect(self._request("get", deposition_id), 200)
-        return Deposition(
-            id=document["id"],
-            state=DepositionState(document["state"]),
-            doi=document["doi"],
-            doi_active=document["doi_active"],
-            title=document["title"],
-            description=document["description"],
-            tags=tuple(document["tags"]),
-            authors=tuple(
-                AuthorRef(
-                    name=row["name"],
-                    service_ids={self.profile.name: row["id"]} if row.get("id") else {},
-                )
-                for row in document["authors"]
-            ),
-            files=tuple(_remote_file(row) for row in document["files"]),
-            collaborators=tuple(document["collaborators"]),
-        )
+        return self._deposition(self._expect(self._request("get", deposition_id), 200))
 
     def add_collaborator(self, deposition_id: int, collaborator: str) -> int:
         """Grant a collaborator access to a private deposition; returns the
@@ -447,6 +402,28 @@ class RepositoryClient:
             return response
         assert failure is not None
         raise failure
+
+    def _deposition(self, document: dict) -> Deposition:
+        """Parse the deposition document that create, get and each search
+        row return."""
+        return Deposition(
+            id=document["id"],
+            state=DepositionState(document["state"]),
+            doi=document["doi"],
+            doi_active=document["doi_active"],
+            title=document["title"],
+            description=document["description"],
+            tags=tuple(document["tags"]),
+            authors=tuple(
+                AuthorRef(
+                    name=row["name"],
+                    service_ids={self.profile.name: row["id"]} if row.get("id") else {},
+                )
+                for row in document["authors"]
+            ),
+            files=tuple(_remote_file(row) for row in document["files"]),
+            collaborators=tuple(document["collaborators"]),
+        )
 
     def _publication(self, response: TransportResponse) -> PublicationResult:
         """Parse the status document that publish and make_public return."""

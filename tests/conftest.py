@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -172,3 +173,23 @@ def reverse_listing(monkeypatch):
             return _ReversedListing(list(entries))
 
     return lambda: monkeypatch.setattr(os, "scandir", reversed_scandir)
+
+
+@pytest.fixture
+def durability_log(monkeypatch) -> list[str]:
+    """Record, in order, each ``os.replace`` and each ``os.fsync`` (of a
+    file or of a directory) made from then on."""
+    log: list[str] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        log.append("fsync directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(*args, **kwargs):
+        log.append("replace")
+        real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return log

@@ -1,7 +1,8 @@
 """A battery of varied fixture projects for parser cross-checking.
 
 Covers relative and absolute paths, provider suffixes, driver-prefixed
-subdataset syntax, database and web sources, duplicates, and odd extensions.
+subdataset syntax, database and web sources, duplicates, odd extensions, and
+a shapefile named only ``.shp``.
 """
 
 from __future__ import annotations
@@ -160,5 +161,11 @@ def build_fixture_projects(root: Path) -> list[Path]:
             ("notes", "./files/notes.txt"),
         ],
     )
+
+    # 15: a shapefile whose whole name is its suffix
+    base = root / "suffix_only_name"
+    for name in (".shp", ".shx", ".dbf"):
+        _touch(base / "vec" / name)
+    project("suffix_only_name", [("nameless", "./vec/.shp")])
 
     return projects

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import Backend
-from test_orchestrator import _count_calls
+from test_orchestrator import _count_calls, delete_after_create
 
 import geopub
 from geopub import orchestrator
@@ -142,6 +142,18 @@ class TestPublishDataCommand:
         assert result.exit_code == 4
         assert "resolution.nc" in result.stderr
         assert backend.service.request_count == 0
+
+    def test_file_deleted_after_create_exits_3_naming_draft(
+        self, runner, orkney, backend, tmp_path, monkeypatch
+    ):
+        delete_after_create(monkeypatch, orkney.bathymetry)
+        env = cli_env(tmp_path, backend)
+        result = runner.invoke(
+            main, ["publish", "data", "--project", str(orkney.project)], env=env
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "draft deposition 1 was left on the server" in result.stderr
 
     def test_service_error_exits_5(self, runner, orkney, backend, tmp_path):
         env = cli_env(tmp_path, backend, tokens=False)

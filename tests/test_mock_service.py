@@ -94,6 +94,12 @@ class TestWireConformance:
             "doi": "10.5072/geopub.1",
             "doi_active": False,
             "state": "draft",
+            "title": "Orkney",
+            "description": "files",
+            "tags": ["orkney", "qgis"],
+            "authors": [{"name": "Ada", "id": "554577"}],
+            "files": [],
+            "collaborators": [],
         }
 
     def test_upload_shape_and_errors(self, sender):
@@ -201,8 +207,21 @@ class TestWireConformance:
                 {
                     "id": 1,
                     "doi": "10.5072/geopub.1",
+                    "doi_active": True,
+                    "state": "public",
                     "title": "Orkney",
+                    "description": "files",
                     "tags": ["orkney", "qgis"],
+                    "authors": [{"name": "Ada", "id": "554577"}],
+                    "files": [
+                        {
+                            "file_id": 1,
+                            "name": "x.bin",
+                            "size": 1,
+                            "sha256": hashlib.sha256(content).hexdigest(),
+                        }
+                    ],
+                    "collaborators": [],
                 }
             ]
         }
@@ -384,6 +403,13 @@ class TestSnapshot:
 
     def test_fresh_instance_is_empty(self):
         assert MockService().deposition_count() == 0
+
+    def test_save_syncs_file_before_rename_and_directory_after(
+        self, tmp_path, service, durability_log
+    ):
+        direct_sender(service)("POST", "/api/v1/depositions", body=_create_body())
+        service.save_snapshot(tmp_path / "state.json")
+        assert durability_log == ["fsync file", "replace", "fsync directory"]
 
 
 class TestHttpServer:

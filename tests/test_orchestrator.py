@@ -32,6 +32,7 @@ from geopub.orchestrator import (
     publish_software,
 )
 from geopub.qgis_project import collect_datasources, parse_project
+from geopub.repo_protocol import RepositoryClient
 from geopub.vcs_info import detect_version
 
 
@@ -84,6 +85,14 @@ class TestPublishData:
         assert backend.service.deposition_count() == 1
         assert backend.service.deposition_record(1)["state"] == "draft"
         assert any("1" in r.message and "draft" in r.message for r in caplog.records)
+
+    def test_any_failure_after_create_reports_draft(self, orkney, backend, monkeypatch, caplog):
+        delete_after_create(monkeypatch, orkney.bathymetry)
+        with caplog.at_level(logging.ERROR, logger="geopub.orchestrator"):
+            with pytest.raises(FileNotFoundError):
+                publish_data(backend.profile, orkney.project)
+        assert backend.service.deposition_record(1)["state"] == "draft"
+        assert any("draft deposition 1 was left" in r.getMessage() for r in caplog.records)
 
     def test_metadata_overrides_reach_server(self, orkney, backend):
         result = publish_data(
@@ -270,6 +279,28 @@ class TestPublishSoftware:
         refreshed = cache.get(backend.profile.name, version.id)
         assert refreshed.publication_id == outcome.result.publication_id
 
+    def test_cache_hit_on_another_deposition_triggers_republish(
+        self, source_tree, tmp_path, make_backend, cache, caplog
+    ):
+        first = publish_software(
+            make_backend(ServiceConfig.zenodo_like()).profile, source_tree, cache=cache
+        )
+        # The server restarts without its state, and another tree takes id 1.
+        backend = make_backend(ServiceConfig.zenodo_like())
+        other_tree = tmp_path / "other"
+        other_tree.mkdir()
+        (other_tree / "main.py").write_text("print('other')\n")
+        other = publish_software(backend.profile, other_tree)
+        assert first.result.publication_id == other.result.publication_id == 1
+        with caplog.at_level(logging.WARNING, logger="geopub.orchestrator"):
+            outcome = publish_software(backend.profile, source_tree, cache=cache)
+        assert outcome.reused is False
+        assert outcome.result.publication_id == 2
+        assert outcome.result.doi != other.result.doi
+        version = detect_version(source_tree)
+        assert cache.get(backend.profile.name, version.key).publication_id == 2
+        assert any("does not carry" in r.getMessage() for r in caplog.records)
+
     def test_cache_record_of_clean_commit_keeps_its_key(self, source_tree, make_backend, cache):
         backend = make_backend(ServiceConfig.zenodo_like())
         _commit_all(source_tree)
@@ -383,6 +414,10 @@ class TestDoiCache:
             cache.get("zenodo-like", "v1")
         with pytest.raises(CacheCorruptError):
             cache.put(self._record())
+
+    def test_put_syncs_file_before_rename_and_directory_after(self, cache, durability_log):
+        cache.put(self._record())
+        assert durability_log == ["fsync file", "replace", "fsync directory"]
 
     def test_lock_contention_fails_fast(self, cache):
         other = DoiCache(cache.path)
@@ -548,6 +583,19 @@ class TestSourceArchive:
         assert checksum_file(archive) == hashlib.sha256(archive.read_bytes()).hexdigest()
 
 
+def delete_after_create(monkeypatch, path: Path) -> None:
+    """Make ``path`` vanish once a draft is created: after planning, before
+    its upload."""
+    create = RepositoryClient.create_deposition
+
+    def wrapper(*args, **kwargs):
+        deposition = create(*args, **kwargs)
+        path.unlink()
+        return deposition
+
+    monkeypatch.setattr(RepositoryClient, "create_deposition", wrapper)
+
+
 def _count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` so that each call's positional arguments are
     recorded in the returned list."""
@@ -584,6 +632,13 @@ class TestCost:
         assert outcome.reused is True
         assert len(processes) == 1
         assert listings == scans == []
+
+    def test_reuse_on_searchable_backend_is_one_request(self, source_tree, backend):
+        publish_software(backend.profile, source_tree)
+        before = backend.service.request_count
+        outcome = publish_software(backend.profile, source_tree)
+        assert outcome.reused is True
+        assert backend.service.request_count - before == 1
 
     @pytest.mark.parametrize("under_git", [False, True], ids=["plain", "git"])
     def test_archive_built_once_per_fresh_publication(

@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "Deposition",
     "DepositionMeta",
     "DepositionState",
-    "DepositionSummary",
     "DoiCache",
     "DoiCacheRecord",
     "GeopubError",
