@@ -31,7 +31,6 @@ from .manifest import (
     PublicationManifest,
     build_manifest,
     checksum_file,
-    derive_metadata,
     manifest_to_json,
 )
 from .orchestrator import (
@@ -107,7 +106,6 @@ __all__ = [
     "build_source_archive",
     "checksum_file",
     "collect_datasources",
-    "derive_metadata",
     "detect_version",
     "manifest_to_json",
     "parse_authors",

@@ -4,7 +4,7 @@ Sources are merged lowest to highest precedence: built-in defaults, the
 config file (``$GEOPUB_CONFIG`` or the platform config directory), then
 environment variables. Command-line flags sit on top of all of these.
 
-The config file is a simple key-value format (a TOML subset)::
+The config file is TOML 1.0 in UTF-8, read with :mod:`tomllib`::
 
     default_profile = "figshare-like"
     cache_path = "/home/me/.config/geopub/doi_cache.json"
@@ -13,15 +13,17 @@ The config file is a simple key-value format (a TOML subset)::
     base_url = "http://localhost:8472"
     token = "secret"
 
-    [profile.my-institution]
+    [profile."my.institution"]
     base_url = "http://repo.example:9000"
     can_search = false
 
-The file is UTF-8. ``can_search`` is ``true`` or ``false``, ``token`` a
-double-quoted string or an integer, and every other value a double-quoted
-string. Tokens are never accepted on the command line; use the config file or
-the per-profile environment variable ``GEOPUB_TOKEN_<PROFILE>`` (profile name
-uppercased, non-alphanumerics replaced by ``_``, e.g. ``GEOPUB_TOKEN_FIGSHARE_LIKE``).
+The top level holds ``default_profile``, ``cache_path`` and one
+``[profile.NAME]`` table per profile; a name with a dot in it is quoted.
+``can_search`` is ``true`` or ``false``, ``token`` a string or an integer, and
+every other value a string. Tokens are never accepted on the command line; use
+the config file or the per-profile environment variable
+``GEOPUB_TOKEN_<PROFILE>`` (profile name uppercased, non-alphanumerics replaced
+by ``_``, e.g. ``GEOPUB_TOKEN_FIGSHARE_LIKE``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -37,12 +40,9 @@ from .errors import ConfigError
 from .repo_protocol import BackendProfile
 
 #: The keys of each part of the file, and the value types each key takes.
-_TOP_LEVEL_KEYS = {"default_profile": (str,), "cache_path": (str,)}
+_TOP_LEVEL_KEYS = {"default_profile": (str,), "cache_path": (str,), "profile": (dict,)}
 _PROFILE_KEYS = {"base_url": (str,), "can_search": (bool,), "token": (str, int)}
-_TYPE_NAMES = {str: "a quoted string", bool: "true or false", int: "an integer"}
-
-_SECTION = re.compile(r"^\[profile\.([A-Za-z0-9_.\-]+)\]$")
-_KEY_VALUE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
+_TYPE_NAMES = {str: "a quoted string", bool: "true or false", int: "an integer", dict: "a table"}
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def load_config(
 
     Raises:
         ConfigError: unreadable or malformed configuration, with the
-            offending file and line.
+            offending file and setting.
     """
     env = os.environ if env is None else env
     profiles = default_profiles()
@@ -126,10 +126,8 @@ def load_config(
         if not config_file.is_file():
             raise ConfigError(f"config file {config_file} does not exist")
         top_level, file_profiles = _parse_config_file(config_file)
-        if "default_profile" in top_level:
-            default_profile = top_level["default_profile"]
-        if "cache_path" in top_level:
-            cache_path = Path(top_level["cache_path"])
+        default_profile = top_level.get("default_profile", default_profile)
+        cache_path = Path(top_level.get("cache_path", cache_path))
         for name, fields in file_profiles.items():
             profiles[name] = _merged_profile(config_file, name, profiles.get(name), fields)
 
@@ -172,57 +170,28 @@ def _check_reserved_capabilities(profiles: dict[str, BackendProfile]) -> None:
 
 def _parse_config_file(path: Path) -> tuple[dict, dict[str, dict]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        document = tomllib.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
-    top_level: dict = {}
-    profiles: dict[str, dict] = {}
-    section: dict | None = None
-    section_keys = _TOP_LEVEL_KEYS
-
-    for line_number, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            match = _SECTION.match(line)
-            if match is None:
-                raise ConfigError(
-                    f"{path}:{line_number}: expected a [profile.NAME] section header"
-                )
-            section = profiles.setdefault(match.group(1), {})
-            section_keys = _PROFILE_KEYS
-            continue
-        match = _KEY_VALUE.match(line)
-        if match is None:
-            raise ConfigError(f"{path}:{line_number}: expected key = value")
-        key, raw_value = match.group(1), match.group(2).strip()
-        if key not in section_keys:
-            allowed = ", ".join(sorted(section_keys))
-            raise ConfigError(f"{path}:{line_number}: unknown key {key!r} (allowed: {allowed})")
-        value = _parse_value(path, line_number, raw_value)
-        if type(value) not in section_keys[key]:
-            wanted = " or ".join(_TYPE_NAMES[t] for t in section_keys[key])
-            raise ConfigError(f"{path}:{line_number}: {key} must be {wanted}")
-        target = top_level if section is None else section
-        target[key] = value
-
-    return top_level, profiles
+    _check_table(path, "", document, _TOP_LEVEL_KEYS)
+    profiles = document.pop("profile", {})
+    for name, fields in profiles.items():
+        where = f"[profile.{name}] "
+        if type(fields) is not dict:
+            raise ConfigError(f"{path}: {where}must be a table")
+        _check_table(path, where, fields, _PROFILE_KEYS)
+    return document, profiles
 
 
-def _parse_value(path: Path, line_number: int, raw: str):
-    if raw.startswith('"'):
-        if not raw.endswith('"') or len(raw) < 2:
-            raise ConfigError(f"{path}:{line_number}: unterminated string")
-        return raw[1:-1]
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{path}:{line_number}: value must be a quoted string, true/false, or an integer"
-        ) from None
+def _check_table(path: Path, where: str, table: dict, keys: dict[str, tuple[type, ...]]) -> None:
+    """Every key of ``table`` is one of ``keys``, with a value of its types."""
+    for key, value in table.items():
+        if key not in keys:
+            allowed = ", ".join(sorted(keys))
+            raise ConfigError(f"{path}: {where}unknown key {key!r} (allowed: {allowed})")
+        if type(value) not in keys[key]:
+            wanted = " or ".join(_TYPE_NAMES[t] for t in keys[key])
+            raise ConfigError(f"{path}: {where}{key} must be {wanted}")

@@ -79,13 +79,12 @@ class ServiceConfig:
 
     per_file_limit: int = 250 * MB
     private_quota: int = 1 * GB
-    collaborator_limit: int = 5
     can_search: bool = True
     #: None accepts any non-empty token; a string demands that exact token.
     required_token: str | None = None
 
     def __post_init__(self):
-        for name in ("per_file_limit", "private_quota", "collaborator_limit"):
+        for name in ("per_file_limit", "private_quota"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -110,7 +109,6 @@ class _DepositionRecord:
     authors: list[dict] = field(default_factory=list)
     private_intent: bool = False
     files: list[RemoteFile] = field(default_factory=list)
-    collaborators: list[str] = field(default_factory=list)
 
     def stored_bytes(self) -> int:
         return sum(f.size for f in self.files)
@@ -128,7 +126,6 @@ class _DepositionRecord:
             "tags": list(self.tags),
             "authors": list(self.authors),
             "files": [asdict(f) for f in self.files],
-            "collaborators": list(self.collaborators),
         }
 
 
@@ -212,6 +209,8 @@ class MockService:
             self._next_id = state["next_id"]
             self._depositions = {}
             for raw in state["depositions"]:
+                # A snapshot written before the collaborators endpoint went has the key.
+                raw.pop("collaborators", None)
                 files = [RemoteFile(**f) for f in raw.pop("files")]
                 self._depositions[raw["id"]] = _DepositionRecord(**raw, files=files)
 
@@ -224,8 +223,9 @@ class MockService:
 
         ``body`` is bytes or a binary reader. A request without valid
         credentials is answered 401, and then one that names no endpoint or
-        an unknown deposition 404, before any of its body is read. An upload
-        is hashed as it is read and never held; what is left unread is the
+        an unknown deposition 404, before any of its body is read; so is an
+        upload to a deposition that is no longer a draft, 400. An upload is
+        hashed as it is read and never held; what is left unread is the
         caller's to discard.
         """
         parts = urlsplit(path)
@@ -252,6 +252,10 @@ class MockService:
 
         reader = io.BytesIO(body) if isinstance(body, bytes) else body
         if op == "upload":
+            # A deposition never goes back to draft, so this unlocked refusal
+            # is final; _upload checks again for a publish that races it.
+            if refusal := _not_a_draft(record):
+                return refusal
             # Hashing a large upload takes long; other requests must not wait for it.
             digest, size = hashlib.sha256(), 0
             while chunk := reader.read(CHUNK_SIZE):
@@ -297,8 +301,8 @@ class MockService:
     def _upload(
         self, record: _DepositionRecord, headers: Mapping[str, str], sha256: str, size: int
     ) -> tuple[int, dict]:
-        if record.state != "draft":
-            return 400, {"error": "validation", "message": "deposition is not a draft"}
+        if refusal := _not_a_draft(record):
+            return refusal
         name = _header(headers, "X-File-Name")
         declared = _header(headers, "X-File-SHA256")
         if not name:
@@ -316,8 +320,8 @@ class MockService:
         return 201, asdict(stored)
 
     def _publish(self, record: _DepositionRecord, document, _query) -> tuple[int, dict]:
-        if record.state != "draft":
-            return 400, {"error": "validation", "message": "deposition is not a draft"}
+        if refusal := _not_a_draft(record):
+            return refusal
         if not record.files:
             return 400, {"error": "validation", "message": "cannot publish without files"}
         private = bool((document or {}).get("private", False))
@@ -346,19 +350,6 @@ class MockService:
         ]
         return 200, {"results": results}
 
-    def _collaborators(self, record: _DepositionRecord, document, _query) -> tuple[int, dict]:
-        if record.state != "private":
-            return 400, {"error": "validation", "message": "deposition is not private"}
-        name = (document or {}).get("name")
-        if not isinstance(name, str) or not name.strip():
-            return 400, {"error": "validation", "message": "collaborator name required"}
-        if name in record.collaborators:
-            return 200, {"count": len(record.collaborators)}
-        if len(record.collaborators) >= self.config.collaborator_limit:
-            return 413, {"error": "quota"}
-        record.collaborators.append(name)
-        return 200, {"count": len(record.collaborators)}
-
     # -- helpers
 
     def _authorized(self, headers: Mapping[str, str]) -> bool:
@@ -369,6 +360,13 @@ class MockService:
         if self.config.required_token is not None:
             return token.strip() == self.config.required_token
         return True
+
+
+def _not_a_draft(record: _DepositionRecord) -> tuple[int, dict] | None:
+    """The refusal of an upload or a publish to a deposition past draft."""
+    if record.state != "draft":
+        return 400, {"error": "validation", "message": "deposition is not a draft"}
+    return None
 
 
 def _header(headers: Mapping[str, str], name: str) -> str | None:

@@ -30,7 +30,7 @@ SIDECAR_SUFFIXES: dict[str, tuple[str, ...]] = {
 }
 
 _URL_SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
-_DRIVER_PREFIX = re.compile(r"^([A-Za-z][A-Za-z0-9_]*):(.+)$", re.DOTALL)
+_DRIVER_PREFIX = re.compile(r"^([A-Za-z0-9][A-Za-z0-9_]*):(.+)$", re.DOTALL)
 
 
 @dataclass(frozen=True)

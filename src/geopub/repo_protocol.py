@@ -47,7 +47,6 @@ ENDPOINTS: dict[str, tuple[str, str]] = {
     "upload": ("POST", "/api/v1/depositions/{id}/files"),
     "publish": ("POST", "/api/v1/depositions/{id}/actions/publish"),
     "make_public": ("POST", "/api/v1/depositions/{id}/actions/make_public"),
-    "collaborators": ("POST", "/api/v1/depositions/{id}/collaborators"),
     "search": ("GET", "/api/v1/depositions"),
     "get": ("GET", "/api/v1/depositions/{id}"),
 }
@@ -93,7 +92,6 @@ class Deposition:
     tags: tuple[str, ...]
     authors: tuple[AuthorRef, ...]
     files: tuple[RemoteFile, ...]
-    collaborators: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -346,19 +344,6 @@ class RepositoryClient:
         """Fetch the full server-side record, files included."""
         return self._deposition(self._expect(self._request("get", deposition_id), 200))
 
-    def add_collaborator(self, deposition_id: int, collaborator: str) -> int:
-        """Grant a collaborator access to a private deposition; returns the
-        updated count. Adding the same name twice is idempotent."""
-        document = self._expect(
-            self._request(
-                "collaborators",
-                deposition_id,
-                json_body={"name": collaborator},
-            ),
-            200,
-        )
-        return document["count"]
-
     # -- plumbing
 
     def _request(
@@ -422,7 +407,6 @@ class RepositoryClient:
                 for row in document["authors"]
             ),
             files=tuple(_remote_file(row) for row in document["files"]),
-            collaborators=tuple(document["collaborators"]),
         )
 
     def _publication(self, response: TransportResponse) -> PublicationResult:

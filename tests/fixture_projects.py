@@ -1,8 +1,8 @@
 """A battery of varied fixture projects for parser cross-checking.
 
 Covers relative and absolute paths, provider suffixes, driver-prefixed
-subdataset syntax, database and web sources, duplicates, odd extensions, and
-a shapefile named only ``.shp``.
+subdataset syntax, database and web sources, duplicates, odd extensions, a
+shapefile named only ``.shp``, and MDAL mesh layers.
 """
 
 from __future__ import annotations
@@ -167,5 +167,19 @@ def build_fixture_projects(root: Path) -> list[Path]:
     for name in (".shp", ".shx", ".dbf"):
         _touch(base / "vec" / name)
     project("suffix_only_name", [("nameless", "./vec/.shp")])
+
+    # 16: MDAL mesh layers, whose driver names may start with a digit
+    base = root / "mdal_meshes"
+    mesh_2dm = _touch(base / "mesh" / "coast.2dm")
+    _touch(base / "results" / "gridadmin.nc")
+    _touch(base / "mesh" / "ugrid.nc")
+    project(
+        "mdal_meshes",
+        [
+            ("2dm", f'2DM:"{mesh_2dm}"'),
+            ("3di", '3Di:"./results/gridadmin.nc"'),
+            ("ugrid", 'Ugrid:"./mesh/ugrid.nc":mesh2d'),
+        ],
+    )
 
     return projects

@@ -12,7 +12,7 @@ import re
 
 _DATASOURCE = re.compile(r"<datasource>(.*?)</datasource>", re.DOTALL)
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://")
-_PREFIX = re.compile(r"^[A-Za-z][A-Za-z0-9_]*:(.+)$", re.DOTALL)
+_PREFIX = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_]*:(.+)$", re.DOTALL)
 
 _SIDECAR_ORDER = (".shx", ".dbf", ".prj", ".cpg", ".qpj")
 

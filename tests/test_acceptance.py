@@ -207,7 +207,7 @@ def test_3_private_doi_lifecycle(runner, orkney, backend, make_backend, tmp_path
     # Property: over >= 1000 random operation sequences, only legal
     # transitions ever occur, DOIs never change, and doi_active tracks the
     # public state exactly.
-    driver = make_backend(ServiceConfig.figshare_like(per_file_limit=4096, collaborator_limit=3))
+    driver = make_backend(ServiceConfig.figshare_like(per_file_limit=4096))
     client = driver.client()
     rng = random.Random(20260811)
     sequences = 1000
@@ -219,7 +219,7 @@ def test_3_private_doi_lifecycle(runner, orkney, backend, make_backend, tmp_path
         previous_state = "draft"
         for _ in range(rng.randint(1, 8)):
             action = rng.choice(
-                ["upload", "bad_upload", "publish", "publish_private", "make_public", "collab"]
+                ["upload", "bad_upload", "publish", "publish_private", "make_public"]
             )
             try:
                 if action == "upload":
@@ -240,8 +240,6 @@ def test_3_private_doi_lifecycle(runner, orkney, backend, make_backend, tmp_path
                     client.publish_deposition(deposition.id, private=True)
                 elif action == "make_public":
                     client.make_public(deposition.id)
-                elif action == "collab":
-                    client.add_collaborator(deposition.id, f"c{rng.randrange(5)}")
             except ProtocolError:
                 pass
             record = driver.service.deposition_record(deposition.id)
@@ -284,25 +282,6 @@ def test_4_quota_enforcement(make_backend):
     defaults = ServiceConfig()
     assert defaults.per_file_limit == 262_144_000  # 250 MB
     assert defaults.private_quota == 1_073_741_824  # 1 GB
-    assert defaults.collaborator_limit == 5
-
-    # The sixth collaborator on a private deposition is rejected.
-    standard = make_backend(ServiceConfig.figshare_like())
-    client = standard.client()
-    deposition = client.create_deposition(DepositionMeta(title="T"), private=True)
-    payload = b"p"
-    client.upload_file(
-        deposition.id,
-        ManifestEntry(
-            path=None, name="p.bin", size=1, sha256=hashlib.sha256(payload).hexdigest()
-        ),
-        payload,
-    )
-    client.publish_deposition(deposition.id, private=True)
-    for i in range(5):
-        client.add_collaborator(deposition.id, f"person{i}")
-    with pytest.raises(QuotaError):
-        client.add_collaborator(deposition.id, "person5")
 
 
 @criterion(5, "parser oracle equivalence")

@@ -382,8 +382,11 @@ class TestUnusableInputExitCodes:
     @pytest.mark.parametrize(
         "config_bytes,expected",
         [
-            (b"[profile.figshare-like]\nbase_url = 8472\n", "geopub.toml:2: base_url must be"),
-            (b"cache_path = 5\n", "geopub.toml:1: cache_path must be"),
+            (
+                b"[profile.figshare-like]\nbase_url = 8472\n",
+                "geopub.toml: [profile.figshare-like] base_url must be a quoted string",
+            ),
+            (b"cache_path = 5\n", "geopub.toml: cache_path must be a quoted string"),
             (b'default_profile = "figshare-like"\n# caf\xff\n', "geopub.toml"),
         ],
         ids=["base_url", "cache_path", "non_utf8"],

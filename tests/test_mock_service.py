@@ -71,6 +71,26 @@ def sender(request, service):
             server.stop()
 
 
+@pytest.fixture
+def hashed(monkeypatch) -> list[int]:
+    """The sizes of the chunks the mock hashes, in order."""
+    sizes: list[int] = []
+
+    class CountingSha256:
+        """An incremental sha256 that counts the bytes it is given."""
+
+        def __init__(self):
+            self._digest = hashlib.sha256()
+            self.hexdigest = self._digest.hexdigest
+
+        def update(self, data):
+            sizes.append(len(data))
+            self._digest.update(data)
+
+    monkeypatch.setattr(mock_service, "hashlib", SimpleNamespace(sha256=CountingSha256))
+    return sizes
+
+
 def _create_body(**overrides) -> bytes:
     document = {
         "title": "Orkney",
@@ -99,7 +119,6 @@ class TestWireConformance:
             "tags": ["orkney", "qgis"],
             "authors": [{"name": "Ada", "id": "554577"}],
             "files": [],
-            "collaborators": [],
         }
 
     def test_upload_shape_and_errors(self, sender):
@@ -173,19 +192,24 @@ class TestWireConformance:
 
         status, document = sender("GET", "/api/v1/depositions/1")
         assert status == 200
-        assert set(document.keys()) == {
-            "id",
-            "doi",
-            "doi_active",
-            "state",
-            "title",
-            "description",
-            "tags",
-            "authors",
-            "files",
-            "collaborators",
+        assert document == {
+            "id": 1,
+            "doi": "10.5072/geopub.1",
+            "doi_active": True,
+            "state": "public",
+            "title": "Orkney",
+            "description": "files",
+            "tags": ["orkney", "qgis"],
+            "authors": [{"name": "Ada", "id": "554577"}],
+            "files": [
+                {
+                    "file_id": 1,
+                    "name": "p.bin",
+                    "size": len(content),
+                    "sha256": hashlib.sha256(content).hexdigest(),
+                }
+            ],
         }
-        assert document["files"][0]["sha256"] == hashlib.sha256(content).hexdigest()
 
     def test_search_shape(self, sender):
         sender("POST", "/api/v1/depositions", body=_create_body())
@@ -221,12 +245,11 @@ class TestWireConformance:
                             "sha256": hashlib.sha256(content).hexdigest(),
                         }
                     ],
-                    "collaborators": [],
                 }
             ]
         }
 
-    def test_collaborators_shape(self, sender):
+    def test_collaborators_path_is_not_found(self, sender):
         sender("POST", "/api/v1/depositions", body=_create_body(private=True))
         content = b"x"
         sender(
@@ -239,19 +262,10 @@ class TestWireConformance:
             body=content,
         )
         sender("POST", "/api/v1/depositions/1/actions/publish", body=b'{"private": true}')
-        for i in range(5):
-            status, document = sender(
-                "POST",
-                "/api/v1/depositions/1/collaborators",
-                body=json.dumps({"name": f"person{i}"}).encode(),
-            )
-            assert (status, document) == (200, {"count": i + 1})
         status, document = sender(
-            "POST",
-            "/api/v1/depositions/1/collaborators",
-            body=json.dumps({"name": "person5"}).encode(),
+            "POST", "/api/v1/depositions/1/collaborators", body=b'{"name": "person0"}'
         )
-        assert (status, document) == (413, {"error": "quota"})
+        assert (status, document) == (404, {"error": "not_found"})
 
     def test_validation_and_not_found_codes(self, sender):
         status, document = sender("POST", "/api/v1/depositions", body=_create_body(title=""))
@@ -268,21 +282,7 @@ class TestWireConformance:
         status, document = sender("POST", "/api/v1/depositions/1/tags", body=b'{"tag": "x"}')
         assert (status, document) == (404, {"error": "not_found"})
 
-    def test_upload_to_unknown_deposition_refused_before_hashing(self, sender, monkeypatch):
-        hashed = []
-
-        class CountingSha256:
-            """An incremental sha256 that counts the bytes it is given."""
-
-            def __init__(self):
-                self._digest = hashlib.sha256()
-                self.hexdigest = self._digest.hexdigest
-
-            def update(self, data):
-                hashed.append(len(data))
-                self._digest.update(data)
-
-        monkeypatch.setattr(mock_service, "hashlib", SimpleNamespace(sha256=CountingSha256))
+    def test_upload_to_unknown_deposition_refused_before_hashing(self, sender, hashed):
         sender("POST", "/api/v1/depositions", body=_create_body())
         content = b"x" * 3_000_000
         headers = {"X-File-Name": "big.bin", "X-File-SHA256": hashlib.sha256(content).hexdigest()}
@@ -291,6 +291,22 @@ class TestWireConformance:
         # The same upload to the existing draft is hashed, then refused by quota.
         status, document = sender("POST", "/api/v1/depositions/1/files", headers, content)
         assert (status, document, sum(hashed)) == (413, {"error": "quota"}, len(content))
+
+    def test_upload_to_published_deposition_refused_before_hashing(self, sender, hashed):
+        sender("POST", "/api/v1/depositions", body=_create_body())
+        small = b"x"
+        headers = {"X-File-Name": "x.bin", "X-File-SHA256": hashlib.sha256(small).hexdigest()}
+        sender("POST", "/api/v1/depositions/1/files", headers, small)
+        sender("POST", "/api/v1/depositions/1/actions/publish", body=b'{"private": false}')
+        hashed.clear()
+        content = b"x" * 3_000_000
+        headers = {"X-File-Name": "big.bin", "X-File-SHA256": hashlib.sha256(content).hexdigest()}
+        status, document = sender("POST", "/api/v1/depositions/1/files", headers, content)
+        assert (status, document, sum(hashed)) == (
+            400,
+            {"error": "validation", "message": "deposition is not a draft"},
+            0,
+        )
 
     def test_auth_codes(self, sender):
         status, document = sender("POST", "/api/v1/depositions", headers={"Authorization": ""})
@@ -365,7 +381,6 @@ class TestServiceConfig:
         config = ServiceConfig()
         assert config.per_file_limit == 250 * 1024 * 1024
         assert config.private_quota == 1024 * 1024 * 1024
-        assert config.collaborator_limit == 5
 
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -400,6 +415,38 @@ class TestSnapshot:
             "POST", "/api/v1/depositions", body=_create_body()
         )
         assert document["id"] == deposition.id + 1
+
+    def test_snapshot_with_collaborators_loads(self, tmp_path):
+        """A snapshot from before the collaborators endpoint went still loads."""
+        snapshot = tmp_path / "state.json"
+        file = {"file_id": 1, "name": "f.bin", "size": 5, "sha256": "ab" * 32}
+        record = {
+            "id": 1,
+            "doi": "10.5072/geopub.1",
+            "state": "private",
+            "doi_active": False,
+            "title": "T",
+            "description": "",
+            "tags": ["a"],
+            "authors": [],
+            "private_intent": True,
+            "files": [file],
+            "collaborators": ["alice"],
+        }
+        snapshot.write_text(json.dumps({"next_id": 2, "depositions": [record]}))
+        restored = MockService()
+        restored.load_snapshot(snapshot)
+        assert restored.deposition_record(1) == {
+            "id": 1,
+            "doi": "10.5072/geopub.1",
+            "doi_active": False,
+            "state": "private",
+            "title": "T",
+            "description": "",
+            "tags": ["a"],
+            "authors": [],
+            "files": [file],
+        }
 
     def test_fresh_instance_is_empty(self):
         assert MockService().deposition_count() == 0

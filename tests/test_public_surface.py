@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "build_source_archive",
     "checksum_file",
     "collect_datasources",
-    "derive_metadata",
     "detect_version",
     "manifest_to_json",
     "parse_authors",

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import ast
-import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -16,9 +16,11 @@ MODULES = sorted(Path(geopub.__file__).parent.glob("*.py"))
 
 
 def _floor() -> tuple[int, int]:
-    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
-    assert match is not None, "pyproject.toml declares no requires-python floor"
-    return int(match[1]), int(match[2])
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    requires = project.get("requires-python", "")
+    assert requires.startswith(">="), "pyproject.toml declares no requires-python floor"
+    major, minor = requires.removeprefix(">=").split(".")[:2]
+    return int(major), int(minor)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)

@@ -120,6 +120,15 @@ class TestResolveDatasource:
         ref = resolve_datasource(entry, "/p")
         assert ref.resolved_path == Path("/p/grids/bathy.nc")
 
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [('2DM:"/data/mesh.2dm"', "/data/mesh.2dm"), ('3Di:"./x.nc"', "/p/x.nc")],
+        ids=["2DM", "3Di"],
+    )
+    def test_driver_name_may_start_with_a_digit(self, raw, expected):
+        ref = resolve_datasource(LayerEntry(layer_name="mesh", raw_datasource=raw), "/p")
+        assert ref.resolved_path == Path(expected)
+
     def test_sidecars_only_existing_ones(self, tmp_path):
         shp = tmp_path / "coast.shp"
         shp.write_bytes(b"shp")

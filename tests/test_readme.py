@@ -1,6 +1,7 @@
-"""The README's library example runs as written, its wire-protocol table
-lists the endpoints the code routes by, and the default ports it gives for
-``geopub-mock`` are those of the built-in profiles."""
+"""The README's library example runs as written, its config file example
+loads, its wire-protocol table lists the endpoints the code routes by, and the
+default ports it gives for ``geopub-mock`` are those of the built-in
+profiles."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from urllib.parse import urlsplit
 
 from conftest import OrkneyTree, unset_proxies
 
-from geopub.config import default_profiles
-from geopub.repo_protocol import ENDPOINTS
+from geopub.config import default_profiles, load_config
+from geopub.repo_protocol import ENDPOINTS, BackendProfile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,6 +30,21 @@ def test_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     unset_proxies(monkeypatch)
     exec(compile(match.group(1), str(README), "exec"), {})
+
+
+def test_config_example_loads(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Configuration\n.*?^```toml\n(.*?)^```", text, re.M | re.S)
+    assert match is not None, "no toml block under '## Configuration'"
+    path = tmp_path / "config.toml"
+    path.write_text(match.group(1), encoding="utf-8")
+    config = load_config(path, env={})
+    assert config.default_profile == "figshare-like"
+    assert config.cache_path == Path("/home/me/.config/geopub/doi_cache.json")
+    assert config.profiles["figshare-like"].base_url == "http://127.0.0.1:8472"
+    assert config.profiles["my.institution"] == BackendProfile(
+        "my.institution", "http://repo.example:9000", can_search=False
+    )
 
 
 def test_wire_protocol_table_lists_the_endpoints():

@@ -284,36 +284,6 @@ class TestSearch:
             RepositoryClient(lying_profile).search_by_tag("anything")
 
 
-class TestCollaborators:
-    def _private(self, client):
-        deposition = client.create_deposition(META, private=True)
-        client.upload_file(deposition.id, entry_for(b"x"), b"x")
-        client.publish_deposition(deposition.id, private=True)
-        return deposition
-
-    def test_limit_of_five_then_quota_error(self, backend):
-        client = backend.client()
-        deposition = self._private(client)
-        for i in range(5):
-            assert client.add_collaborator(deposition.id, f"person{i}") == i + 1
-        with pytest.raises(QuotaError):
-            client.add_collaborator(deposition.id, "person5")
-
-    def test_duplicate_is_idempotent(self, backend):
-        client = backend.client()
-        deposition = self._private(client)
-        assert client.add_collaborator(deposition.id, "alice") == 1
-        assert client.add_collaborator(deposition.id, "alice") == 1
-
-    def test_public_deposition_rejected(self, backend):
-        client = backend.client()
-        deposition = client.create_deposition(META)
-        client.upload_file(deposition.id, entry_for(b"x"), b"x")
-        client.publish_deposition(deposition.id)
-        with pytest.raises(ValidationError):
-            client.add_collaborator(deposition.id, "alice")
-
-
 class TestRetryPolicy:
     def test_get_retried_then_network_error(self, backend):
         backend.service.inject_fault(Fault.http500(), on="search")
