@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import fcntl
+import hashlib
 import json
 import logging
 import os
-import tarfile
 import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
@@ -31,7 +31,6 @@ from .manifest import (
     ManifestEntry,
     PublicationManifest,
     build_manifest,
-    checksum_file,
     write_durably,
 )
 from .qgis_project import collect_datasources, parse_project
@@ -264,12 +263,13 @@ def publish_software(
         source_dir = version.source_dir
         authors = parse_authors(source_dir)
         with tempfile.TemporaryDirectory(prefix="geopub-archive-") as scratch:
-            archive = build_source_archive(version, Path(scratch))
+            digest = hashlib.sha256()
+            archive = build_source_archive(version, Path(scratch), digest=digest)
             entry = ManifestEntry(
                 path=archive,
                 name=archive.name,
                 size=archive.stat().st_size,
-                sha256=checksum_file(archive),
+                sha256=digest.hexdigest(),
             )
             manifest = PublicationManifest(
                 entries=(entry,),
@@ -331,31 +331,100 @@ def _find_published(
     return deposition
 
 
-def build_source_archive(version: SourceVersion, dest_dir: Path) -> Path:
+#: Tar block and record sizes; a record is the 20 blocks GNU tar writes at a time.
+_BLOCK = 512
+_RECORD = 20 * _BLOCK
+#: Bytes read from a member, and held before a write to the archive, at once.
+_CHUNK = 1024 * 1024
+
+
+def build_source_archive(
+    version: SourceVersion, dest_dir: Path, digest: hashlib._Hash | None = None
+) -> Path:
     """Pack a version's files into a byte-deterministic uncompressed tar.
 
     Members are the files of :meth:`SourceVersion.files`, in that order,
     rooted under the tree's directory name, with zeroed timestamps and
     normalized ownership/modes, so the same files always yield the same bytes.
+    The bytes are those of ``tarfile.GNU_FORMAT``: a name longer than 100
+    bytes gets a ``././@LongLink`` header first, and the archive ends on a
+    10240-byte record. Each file is read once, and every byte written is also
+    fed to ``digest`` (a :mod:`hashlib` object) when one is given.
 
     Raises:
         FileNotFoundError: git tracks no file under a commit's directory.
+        OSError: a file shrank while it was archived.
     """
     source_dir = version.source_dir
     dest_dir.mkdir(parents=True, exist_ok=True)
     archive_path = dest_dir / f"{source_dir.name}-{version.id[:12]}.tar"
-    with tarfile.open(archive_path, "w", format=tarfile.GNU_FORMAT) as tar:
+    root = os.fsencode(source_dir.name) + b"/"
+    pending = bytearray()
+    with open(archive_path, "wb") as tar:
+
+        def flush() -> None:
+            tar.write(pending)
+            if digest is not None:
+                digest.update(pending)
+            pending.clear()
+
         for path, relative in version.files():
-            stat = os.stat(path)
-            info = tarfile.TarInfo(name=f"{source_dir.name}/{relative}")
-            info.size = stat.st_size
-            info.mtime = 0
-            info.mode = 0o755 if stat.st_mode & 0o100 else 0o644
-            info.uid = info.gid = 0
-            info.uname = info.gname = ""
-            with open(path, "rb") as handle:
-                tar.addfile(info, handle)
+            with open(path, "rb", buffering=0) as handle:
+                stat = os.fstat(handle.fileno())
+                mode = 0o755 if stat.st_mode & 0o100 else 0o644
+                pending += _member_header(root + os.fsencode(relative), mode, stat.st_size)
+                remaining = stat.st_size
+                while remaining:
+                    if len(pending) >= _CHUNK:
+                        flush()
+                    chunk = handle.read(min(remaining, _CHUNK - len(pending)))
+                    if not chunk:
+                        raise OSError(
+                            f"{path} shrank while it was archived: expected"
+                            f" {stat.st_size} bytes, read {stat.st_size - remaining}"
+                        )
+                    pending += chunk
+                    remaining -= len(chunk)
+            pending += bytes(-stat.st_size % _BLOCK)
+            if len(pending) >= _CHUNK:
+                flush()
+        pending += bytes(2 * _BLOCK)
+        pending += bytes(-(tar.tell() + len(pending)) % _RECORD)
+        flush()
     return archive_path
+
+
+def _member_header(name: bytes, mode: int, size: int) -> bytes:
+    """The header block(s) of a regular file, as ``tarfile.GNU_FORMAT``
+    writes them."""
+    if len(name) <= 100:
+        return _header_block(name, mode, size, b"0")
+    long_name = name + b"\0"
+    return (
+        _header_block(b"././@LongLink", 0, len(long_name), b"L")
+        + long_name
+        + bytes(-len(long_name) % _BLOCK)
+        + _header_block(name[:100], mode, size, b"0")
+    )
+
+
+def _header_block(name: bytes, mode: int, size: int, kind: bytes) -> bytes:
+    """One 512-byte header: owner, group and mtime 0, no link or user names,
+    the GNU magic; a size of 8 GiB or more in GNU base-256."""
+    size_field = b"%011o\0" % size if size < 8**11 else b"\x80" + size.to_bytes(11, "big")
+    block = b"".join((
+        name.ljust(100, b"\0"),
+        b"%07o\0" % mode,
+        b"0000000\0" * 2,  # uid, gid
+        size_field,
+        b"00000000000\0",  # mtime
+        b" " * 8,  # the checksum field counts as spaces in its own sum
+        kind,
+        bytes(100),  # link name
+        b"ustar  \0",
+        bytes(_BLOCK - 265),  # user, group, device numbers, prefix, padding
+    ))
+    return block[:148] + b"%06o\0" % sum(block) + block[155:]
 
 
 def _deposit(

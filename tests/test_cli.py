@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import Backend
-from test_orchestrator import _count_calls, delete_after_create
+from test_orchestrator import _count_calls, delete_after_create, shrink_after_fstat
 
 import geopub
 from geopub import orchestrator
@@ -409,6 +409,19 @@ class TestUnusableInputExitCodes:
         result = runner.invoke(main, ["publish", "software", "--source", str(source_tree)], env=env)
         assert result.exit_code == 3
         assert "AUTHORS line 2" in result.stderr
+        assert backend.service.deposition_count() == 0
+
+    def test_file_shrinking_while_archived_exits_3_before_create(
+        self, runner, source_tree, backend, tmp_path, monkeypatch
+    ):
+        victim = source_tree / "src" / "main.py"
+        victim.write_bytes(b"x" * 5000)
+        env = cli_env(tmp_path, backend)
+        shrink_after_fstat(monkeypatch, victim)
+        result = runner.invoke(main, ["publish", "software", "--source", str(source_tree)], env=env)
+        assert result.exit_code == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and str(victim) in line and "5000 bytes" in line
         assert backend.service.deposition_count() == 0
 
 

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
 import tarfile
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_vcs_info import _reference_dirty_digest
 
 import geopub
-from geopub import orchestrator, vcs_info
+from geopub import manifest, orchestrator, vcs_info
 from geopub.errors import (
     CacheCorruptError,
     CacheLockError,
@@ -481,6 +488,78 @@ def _archive(source_dir: Path, dest_dir: Path) -> Path:
     return build_source_archive(detect_version(source_dir), dest_dir)
 
 
+def _tarfile_archive(source_dir: Path) -> bytes:
+    """The archive of ``source_dir`` as ``tarfile.GNU_FORMAT`` writes it: the
+    oracle for the bytes of :func:`build_source_archive`."""
+    version = detect_version(source_dir)
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w", format=tarfile.GNU_FORMAT) as tar:
+        for path, relative in version.files():
+            stat = os.stat(path)
+            info = tarfile.TarInfo(name=f"{version.source_dir.name}/{relative}")
+            info.size = stat.st_size
+            info.mtime = 0
+            info.mode = 0o755 if stat.st_mode & 0o100 else 0o644
+            info.uid = info.gid = 0
+            info.uname = info.gname = ""
+            with open(path, "rb") as handle:
+                tar.addfile(info, handle)
+    return buffer.getvalue()
+
+
+def _write_tree(root: Path, files) -> None:
+    """Write each (relative path, content, executable) of ``files`` under
+    ``root``; a path is a ``str`` or its raw ``bytes``."""
+    for relative, content, executable in files:
+        path = root / os.fsdecode(relative)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(content)
+        path.chmod(0o755 if executable else 0o644)
+
+
+def shrink_after_fstat(monkeypatch, path: Path, size: int = 10) -> None:
+    """Truncate ``path`` to ``size`` bytes as soon as an open handle of it is
+    stat'ed: the file shrinks between its ``fstat`` and its read."""
+    real_fstat = os.fstat
+    inode = path.stat().st_ino
+
+    def fstat(fd):
+        result = real_fstat(fd)
+        if result.st_ino == inode:
+            os.truncate(path, size)
+        return result
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+#: Path segments that put multibyte UTF-8 characters at every byte offset.
+_segment = st.text(alphabet="abzAZ09-_.é€𝄞", min_size=1, max_size=60)
+
+
+@st.composite
+def _trees(draw):
+    """Up to five files, up to three directories deep, of up to 2000 bytes.
+    A directory segment starts with ``d`` and a file name with ``f``, so no
+    path is both a file and a directory."""
+    files = draw(
+        st.lists(
+            st.tuples(
+                st.lists(_segment.map("d".__add__), max_size=3),
+                _segment.map("f".__add__),
+                st.binary(max_size=2000),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda file: "/".join([*file[0], file[1]]),
+        )
+    )
+    return [
+        ("/".join([*dirs, name]), content, executable)
+        for dirs, name, content, executable in files
+    ]
+
+
 class TestSourceArchive:
     def test_two_builds_are_byte_identical(self, source_tree, tmp_path):
         a = _archive(source_tree, tmp_path / "a")
@@ -578,9 +657,78 @@ class TestSourceArchive:
     def test_archive_checksum_matches_manifest_checksum(self, source_tree, tmp_path):
         archive = _archive(source_tree, tmp_path)
         # Independent digest of the archive bytes.
-        import hashlib
-
         assert checksum_file(archive) == hashlib.sha256(archive.read_bytes()).hexdigest()
+
+    def test_digest_is_fed_every_byte_written(self, source_tree, tmp_path):
+        digest = hashlib.sha256()
+        archive = build_source_archive(detect_version(source_tree), tmp_path, digest=digest)
+        assert digest.hexdigest() == hashlib.sha256(archive.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            # "meshtool/" takes 9 bytes of each member name.
+            [("n" * 91, b"exactly 100", False)],
+            [("n" * 92, b"101: a LongLink first", False)],
+            [("d" * 200 + "/" + "e" * 200 + "/" + "n" * 100, b"511: one LongLink block", False)],
+            [("n" * 90 + "é" + "n" * 20, b"a character across byte 100", False)],
+            [("empty", b"", False)],
+            [("blocks", b"b" * 2048, False)],
+            [("grid.bin", bytes(range(256)) * 12 * 1024 + b"odd end", False)],
+            [("run.sh", b"#!/bin/sh\n", True), ("lib.sh", b"true\n", False)],
+        ],
+        ids=[
+            "name-100",
+            "name-101",
+            "name-511",
+            "utf8-across-100",
+            "empty-file",
+            "size-multiple-of-512",
+            "3mb-several-chunks",
+            "exec-bit",
+        ],
+    )
+    def test_bytes_match_tarfile_gnu_format(self, tmp_path, files):
+        tree = tmp_path / "meshtool"
+        _write_tree(tree, files)
+        archive = _archive(tree, tmp_path / "out")
+        assert archive.read_bytes() == _tarfile_archive(tree)
+
+    @settings(max_examples=25, deadline=None)
+    @given(files=_trees())
+    def test_bytes_match_tarfile_gnu_format_on_any_tree(self, files):
+        with tempfile.TemporaryDirectory() as scratch:
+            tree = Path(scratch) / "meshtool"
+            _write_tree(tree, files)
+            archive = _archive(tree, Path(scratch) / "out")
+            assert archive.read_bytes() == _tarfile_archive(tree)
+
+    @pytest.mark.parametrize("under_git", [False, True], ids=["plain", "git"])
+    def test_non_utf8_file_name_publishes_with_its_raw_bytes(
+        self, source_tree, backend, tmp_path, under_git
+    ):
+        _write_tree(source_tree, [(b"caf\xe9.txt", b"menu\n", False)])
+        if under_git:
+            _commit_all(source_tree)
+        outcome = publish_software(backend.profile, source_tree)
+        assert outcome.reused is False
+        archive = _archive(source_tree, tmp_path / "out")
+        with tarfile.open(archive) as tar:
+            names = [os.fsencode(name) for name in tar.getnames()]
+        assert b"meshtool/caf\xe9.txt" in names
+        assert archive.read_bytes() == _tarfile_archive(source_tree)
+
+    def test_file_shrinking_while_archived_raises_naming_it(
+        self, source_tree, tmp_path, monkeypatch
+    ):
+        victim = source_tree / "README"
+        victim.write_bytes(b"x" * 5000)
+        version = detect_version(source_tree)
+        shrink_after_fstat(monkeypatch, victim)
+        with pytest.raises(OSError) as raised:
+            build_source_archive(version, tmp_path)
+        assert str(victim) in str(raised.value)
+        assert "expected 5000 bytes" in str(raised.value)
 
 
 def delete_after_create(monkeypatch, path: Path) -> None:
@@ -651,3 +799,33 @@ class TestCost:
         second = publish_software(backend.profile, source_tree)
         assert (first.reused, second.reused) == (False, True)
         assert len(built) == 1
+
+    def test_fresh_plain_publication_reads_its_archive_once(
+        self, source_tree, backend, monkeypatch
+    ):
+        real_open = builtins.open
+        archive_reads = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".tar") and "r" in mode:
+                archive_reads.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        checksums = _count_calls(monkeypatch, manifest, "checksum_file")
+        outcome = publish_software(backend.profile, source_tree)
+        assert outcome.reused is False
+        assert len(archive_reads) == 1  # the upload's
+        assert checksums == []
+
+    def test_archive_of_a_32_mb_file_peaks_under_6_mb(self, source_tree, tmp_path):
+        with open(source_tree / "grid.bin", "wb") as grid:
+            grid.truncate(32 * 1024 * 1024)
+        version = detect_version(source_tree)
+        tracemalloc.start()
+        try:
+            build_source_archive(version, tmp_path / "out", digest=hashlib.sha256())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 1024 * 1024

@@ -204,6 +204,7 @@ class TestTreeHash:
             ("src/main.py", b"print('hi')\n"),
             ("src/util/helpers.py", b"def f(): pass\n"),
             ("docs/readme.md", b"# Title\n"),
+            ("docs/café.md", b"# Caf\xc3\xa9\n"),
             ("data.bin", bytes(range(256))),
         ]:
             path = tmp_path / rel
