@@ -12,7 +12,6 @@ Faults can be injected per endpoint to exercise client retry behaviour.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import re
@@ -217,15 +216,16 @@ class MockService:
     # -- request handling
 
     def handle_request(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes | BinaryIO
+        self, method: str, path: str, headers: Mapping[str, str], body: bytes | _BodyReader
     ) -> tuple[int, dict]:
         """Serve one protocol request; returns (status, response document).
 
-        ``body`` is bytes or a binary reader. A request without valid
-        credentials is answered 401, and then one that names no endpoint or
-        an unknown deposition 404, before any of its body is read; so is an
-        upload to a deposition that is no longer a draft, 400. An upload is
-        hashed as it is read and never held; what is left unread is the
+        ``body`` is bytes or the HTTP front-end's :class:`_BodyReader`. A
+        request without valid credentials is answered 401, and then one that
+        names no endpoint or an unknown deposition 404, before any of its body
+        is read; so is an upload to a deposition that is no longer a draft,
+        400. An upload is hashed as it is read, in one buffer of at most
+        :data:`CHUNK_SIZE` bytes, and never held; what is left unread is the
         caller's to discard.
         """
         parts = urlsplit(path)
@@ -250,7 +250,6 @@ class MockService:
         if op is None or (record is None and deposition_id is not None):
             return 404, {"error": "not_found"}
 
-        reader = io.BytesIO(body) if isinstance(body, bytes) else body
         if op == "upload":
             # A deposition never goes back to draft, so this unlocked refusal
             # is final; _upload checks again for a publish that races it.
@@ -258,12 +257,20 @@ class MockService:
                 return refusal
             # Hashing a large upload takes long; other requests must not wait for it.
             digest, size = hashlib.sha256(), 0
-            while chunk := reader.read(CHUNK_SIZE):
-                digest.update(chunk)
-                size += len(chunk)
+            if isinstance(body, bytes):
+                digest.update(body)
+                size = len(body)
+            else:
+                # One buffer, sized to the upload, is filled again and again:
+                # a new 1 MB object per read would be a fresh mapping whose
+                # pages all fault in.
+                buffer = memoryview(_chunk_buffer(len(body)))
+                while count := body.readinto(buffer):
+                    digest.update(buffer[:count])
+                    size += count
             with self._lock:
                 return self._upload(record, headers, digest.hexdigest(), size)
-        document = _json_body(reader.read())
+        document = _json_body(body if isinstance(body, bytes) else body.read())
         with self._lock:
             return getattr(self, f"_{op}")(record, document, parts.query)
 
@@ -445,9 +452,24 @@ class _BodyReader:
         self._left -= len(data)
         return data
 
+    def readinto(self, buffer) -> int:
+        """Fill ``buffer`` with the next bytes of the body, at most what is
+        left of it; 0 at its end."""
+        view = memoryview(buffer)[: self._left]
+        count = self._stream.readinto(view)
+        self._left -= count
+        return count
+
     def discard_rest(self) -> None:
-        while self._left and self.read(CHUNK_SIZE):
+        buffer = _chunk_buffer(self._left)
+        while self._left and self.readinto(buffer):
             pass
+
+
+def _chunk_buffer(length: int) -> bytearray:
+    """A buffer for reading a body of ``length`` bytes in chunks: no larger
+    than the body, so a small request does not pay for a 1 MB allocation."""
+    return bytearray(min(CHUNK_SIZE, length))
 
 
 def _make_handler(service: MockService):

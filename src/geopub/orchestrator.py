@@ -21,6 +21,8 @@ import json
 import logging
 import os
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,6 +37,7 @@ from .manifest import (
 )
 from .qgis_project import collect_datasources, parse_project
 from .repo_protocol import (
+    HTTP_BLOCKSIZE,
     BackendProfile,
     Deposition,
     DepositionState,
@@ -208,9 +211,13 @@ def publish_data(
     :func:`plan_data`.
 
     All files are checksummed before any network traffic, and after the
-    client is made, so a profile it rejects costs no hashing. On an upload
-    failure the draft deposition is abandoned (its id is logged for manual
-    cleanup) and the error propagates.
+    client is made, so a profile it rejects costs no hashing. Files of at
+    least :data:`~geopub.repo_protocol.HTTP_BLOCKSIZE` bytes upload side by
+    side, one thread per processor, and the smaller ones in manifest order,
+    so the deposition may list the large files in another order. On an
+    upload failure no further upload starts, the draft deposition is
+    abandoned (its id is logged once for manual cleanup) and the error of
+    the earliest failed file in manifest order propagates.
     """
     client = RepositoryClient(profile)
     manifest = plan_data(
@@ -433,9 +440,9 @@ def _deposit(
     *,
     private: bool,
 ) -> PublicationResult:
-    """Create, upload everything, publish. On any failure after create the
-    draft is abandoned, its id logged for manual cleanup, and the error
-    re-raised."""
+    """Create, upload everything (see :func:`_upload_all`), publish. On any
+    failure after create the draft is abandoned, its id logged once for
+    manual cleanup, and the error re-raised."""
     deposition = client.create_deposition(manifest.meta, private=private)
     logger.info(
         "created draft deposition %d (doi %s, %d files to upload)",
@@ -444,10 +451,7 @@ def _deposit(
         len(manifest.entries),
     )
     try:
-        for entry in manifest.entries:
-            with open(entry.path, "rb") as handle:
-                client.upload_file(deposition.id, entry, handle)
-            logger.info("uploaded %s (%d bytes)", entry.name, entry.size)
+        _upload_all(client, deposition.id, manifest.entries)
         return client.publish_deposition(deposition.id, private=private)
     except BaseException:
         logger.error(
@@ -456,3 +460,60 @@ def _deposit(
             deposition.id,
         )
         raise
+
+
+def _upload_all(
+    client: RepositoryClient, deposition_id: int, entries: tuple[ManifestEntry, ...]
+) -> None:
+    """Upload every entry to the draft.
+
+    Entries of at least :data:`HTTP_BLOCKSIZE` bytes upload side by side on a
+    pool of ``min(their number, os.cpu_count())`` threads, each on its own
+    keep-alive connection, while the smaller ones upload in manifest order on
+    this thread. A large upload spends its time in socket writes and hashing,
+    which release the interpreter lock; a small one is Python work under it
+    and would gain nothing from the pool. With fewer than two large entries
+    all upload in manifest order on this thread.
+
+    After a failure no further upload starts, those in flight finish, and the
+    error of the earliest failed entry in manifest order propagates.
+    """
+    failed = threading.Event()
+
+    def upload(entry: ManifestEntry) -> None:
+        if failed.is_set():
+            return
+        try:
+            with open(entry.path, "rb") as handle:
+                client.upload_file(deposition_id, entry, handle)
+        except BaseException:
+            # Set before a pooled upload's future completes, so that no
+            # worker starts another upload after it.
+            failed.set()
+            raise
+        logger.info("uploaded %s (%d bytes)", entry.name, entry.size)
+
+    large = {index for index, entry in enumerate(entries) if entry.size >= HTTP_BLOCKSIZE}
+    if len(large) < 2:
+        for entry in entries:
+            upload(entry)
+        return
+
+    failures: dict[int, BaseException] = {}
+    pool = ThreadPoolExecutor(max_workers=min(len(large), os.cpu_count() or 1))
+    try:
+        pooled = {pool.submit(upload, entries[index]): index for index in sorted(large)}
+        for index, entry in enumerate(entries):
+            if index not in large:
+                try:
+                    upload(entry)
+                except Exception as exc:
+                    failures[index] = exc
+        for future, index in pooled.items():
+            if future.exception() is not None:
+                failures[index] = future.exception()
+    finally:
+        # An interrupt lands here with uploads still queued; those in flight finish.
+        pool.shutdown(cancel_futures=True)
+    if failures:
+        raise failures[min(failures)]

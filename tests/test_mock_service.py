@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 from urllib.parse import urlsplit
 
@@ -510,6 +511,42 @@ class TestHttpServer:
         # A response body held back by Nagle's algorithm until the client's
         # delayed ACK arrives costs about 40 ms.
         assert statistics.median(latencies) < 0.020
+
+    @pytest.mark.parametrize(
+        "size, bound",
+        # A buffer of a fixed 1 MB would break the first bound; a new object
+        # per read holds two chunks at once and breaks the second.
+        [(1000, 64 * 1024), (3 * mock_service.MB + 7, 3 * mock_service.MB // 2)],
+        ids=["1KB", "3MB"],
+    )
+    def test_upload_is_hashed_in_one_buffer_sized_to_it(self, monkeypatch, size, bound):
+        service = MockService()
+        handle = service.handle_request
+        peaks = []
+
+        def traced_handle(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return handle(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+        monkeypatch.setattr(service, "handle_request", traced_handle)
+        server = MockServer(service)
+        server.start()
+        content = b"x" * size
+        headers = {"X-File-Name": "b.bin", "X-File-SHA256": hashlib.sha256(content).hexdigest()}
+        send = http_sender(server.base_url)
+        tracemalloc.start()
+        try:
+            send("POST", "/api/v1/depositions", body=_create_body())
+            status, document = send("POST", "/api/v1/depositions/1/files", headers, content)
+        finally:
+            tracemalloc.stop()
+            server.stop()
+        assert (status, document["size"]) == (201, size)
+        assert peaks[-1] < bound
 
     def test_drop_fault_over_http(self):
         service = MockService()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -10,6 +11,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_project
 from test_vcs_info import _reference_dirty_digest
 
 import geopub
@@ -173,6 +177,128 @@ class TestPlanReachesServer:
         assert outcome.reused is False
         assert [a.name for a in manifest.meta.authors] == ["Ada Lovelace"]
         self._assert_recorded(backend, outcome.result.publication_id, manifest.meta)
+
+
+MB = 1024 * 1024
+
+
+def _grid_project(root: Path, sizes: list[int]) -> Path:
+    """A project with one data file of each size, in that order, each of
+    distinct bytes."""
+    layers = []
+    for i, size in enumerate(sizes):
+        (root / f"grid{i}.nc").write_bytes(bytes([i]) * size)
+        layers.append((f"grid {i}", f"./grid{i}.nc"))
+    return write_project(root / "grids.qgs", layers)
+
+
+def _wait_for_thread_count(expected: int, timeout: float = 5.0) -> int:
+    """The number of live threads once it is ``expected``, or when
+    ``timeout`` seconds have passed."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+class TestUploadPool:
+    """Files of at least 1 MiB upload side by side, one thread per
+    processor; smaller ones upload in manifest order on the calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_processors(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_large_files_upload_side_by_side(self, tmp_path, backend, monkeypatch):
+        project = _grid_project(tmp_path, [2 * MB] * 3)
+        lock, overlapped = threading.Lock(), threading.Event()
+        in_flight = [0]
+        handle = backend.service.handle_request
+
+        def counting_handle(method, path, headers, body):
+            if not path.endswith("/files"):
+                return handle(method, path, headers, body)
+            with lock:
+                in_flight[0] += 1
+                if in_flight[0] >= 2:
+                    overlapped.set()
+            try:
+                # Hold the first upload until a second one arrives; one at a
+                # time, none ever does.
+                overlapped.wait(timeout=5)
+                return handle(method, path, headers, body)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(backend.service, "handle_request", counting_handle)
+        result = publish_data(backend.profile, project)
+        assert overlapped.is_set(), "no two uploads were in flight at once"
+        record = backend.service.deposition_record(result.publication_id)
+        expected = plan_data(project).entries
+        assert sorted((f["name"], f["sha256"]) for f in record["files"]) == sorted(
+            (e.name, e.sha256) for e in expected
+        )
+
+    def test_more_workers_than_cores_store_each_file_once(self, tmp_path, backend, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        project = _grid_project(tmp_path, [MB, 10, 2 * MB, 20, MB + 1, 3 * MB, 30, MB])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = publish_data(backend.profile, project)
+        finally:
+            sys.setswitchinterval(interval)
+        files = backend.service.deposition_record(result.publication_id)["files"]
+        entries = plan_data(project).entries
+        assert sorted(f["file_id"] for f in files) == list(range(1, len(entries) + 1))
+        assert sorted((f["name"], f["size"], f["sha256"]) for f in files) == sorted(
+            (e.name, e.size, e.sha256) for e in entries
+        )
+
+    @pytest.mark.parametrize("large", [False, True], ids=["small-only", "one-large"])
+    def test_without_two_large_files_uploads_in_manifest_order(
+        self, orkney, backend, monkeypatch, large
+    ):
+        if large:
+            orkney.bathymetry.write_bytes(b"CDF\x01" * (MB // 2))
+        pools = _count_calls(monkeypatch, orchestrator, "ThreadPoolExecutor")
+        result = publish_data(backend.profile, orkney.project, orkney.mesh)
+        names = [e.name for e in plan_data(orkney.project, orkney.mesh).entries]
+        record = backend.service.deposition_record(result.publication_id)
+        assert [(f["file_id"], f["name"]) for f in record["files"]] == list(
+            enumerate(names, start=1)
+        )
+        assert pools == []
+
+    def test_failed_pooled_upload_stops_the_rest(self, tmp_path, backend, monkeypatch, caplog):
+        project = _grid_project(tmp_path, [2 * MB] * 6)
+        backend.service.inject_fault(Fault.drop(), on="upload")
+        started = []
+        upload_file = RepositoryClient.upload_file
+
+        def recording_upload(client, deposition_id, entry, content):
+            started.append(entry.name)
+            return upload_file(client, deposition_id, entry, content)
+
+        monkeypatch.setattr(RepositoryClient, "upload_file", recording_upload)
+        threads = threading.active_count()
+        with caplog.at_level(logging.ERROR, logger="geopub.orchestrator"):
+            with pytest.raises(NetworkError) as excinfo:
+                publish_data(backend.profile, project)
+        assert type(excinfo.value) is NetworkError
+        left = [r for r in caplog.records if "draft deposition 1 was left" in r.getMessage()]
+        assert len(left) == 1
+        # Every upload fails, so each thread that uploads (the calling one
+        # and two workers) starts at most one: the seven entries are never
+        # all tried.
+        assert len(started) <= 3
+        assert backend.service.deposition_record(1)["files"] == []
+        # The client, and with it its connections, goes with the traceback;
+        # a socket left unclosed would raise its ResourceWarning here.
+        del excinfo
+        gc.collect()
+        assert _wait_for_thread_count(threads) == threads
 
 
 class TestPublishSoftware:
