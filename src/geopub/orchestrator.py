@@ -245,9 +245,9 @@ def publish_software(
     creates a new deposition. A public run that finds a private publication
     of the version makes it public, so the returned DOI is active. A given
     cache is locked for the whole run. Dirty working trees are publishable;
-    their version tag carries ``-dirty-`` and the digest of their tracked
-    files, and a warning is emitted. The client is made before the tree is
-    read, so a profile it rejects costs no hashing.
+    their version tag is the tree hash of their tracked files, and a warning
+    is emitted. The client is made before the tree is read, so a profile it
+    rejects costs no hashing.
     """
     client = RepositoryClient(profile)
     version = detect_version(source_dir)
@@ -282,7 +282,7 @@ def publish_software(
                 entries=(entry,),
                 meta=DepositionMeta(
                     title=f"{source_dir.name} source ({version.id[:12]})",
-                    description=f"Source tree of {source_dir.name} at version {version.key}.",
+                    description=f"Source tree of {source_dir.name} at version {version.id}.",
                     tags=(version.tag, source_dir.name.lower()),
                     authors=tuple(authors),
                 ),
@@ -293,7 +293,7 @@ def publish_software(
             cache.put(
                 DoiCacheRecord(
                     backend_name=profile.name,
-                    version_id=version.key,
+                    version_id=version.id,
                     publication_id=result.publication_id,
                     doi=result.doi,
                     created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -318,7 +318,7 @@ def _find_published(
             return None
         logger.info("version already published as %s; reusing", hits[0].doi)
         return hits[0]
-    record = cache.get(profile.name, version.key) if cache is not None else None
+    record = cache.get(profile.name, version.id) if cache is not None else None
     if record is None:
         return None
     try:
@@ -468,8 +468,8 @@ def _upload_all(
     """Upload every entry to the draft.
 
     Entries of at least :data:`HTTP_BLOCKSIZE` bytes upload side by side on a
-    pool of ``min(their number, os.cpu_count())`` threads, each on its own
-    keep-alive connection, while the smaller ones upload in manifest order on
+    pool of ``min(their number, os.cpu_count())`` threads, each upload on a
+    keep-alive connection of its own, while the smaller ones upload in manifest order on
     this thread. A large upload spends its time in socket writes and hashing,
     which release the interpreter lock; a small one is Python work under it
     and would gain nothing from the pool. With fewer than two large entries

@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import select
-import threading
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -131,8 +130,10 @@ class TransportResponse:
 
 
 class HttpTransport:
-    """HTTP/1.1 transport on :mod:`http.client`: one keep-alive connection per
-    thread, so one transport serves any number of threads.
+    """HTTP/1.1 transport on :mod:`http.client`, safe to share across
+    threads: a request takes an idle keep-alive connection, or opens one, and
+    gives it back after use, closed if the request failed. So the transport
+    holds as many connections as it ever had requests in flight at once.
 
     The environment is read once, for ``base_url``: the scheme's proxy, else
     ``ALL_PROXY`` (skipped for a host that ``NO_PROXY`` names), and for
@@ -196,11 +197,10 @@ class HttpTransport:
 
         self._connect = connect
         self._errors = (OSError, http.client.HTTPException)
-        self._local = threading.local()
-        # Every connection opened, so that the sockets of all threads are
-        # closed when the transport is.
-        self._connections: list[http.client.HTTPConnection] = []
-        weakref.finalize(self, _close_all, self._connections)
+        # A stack, so that the most recently used connection, the one most
+        # likely still open on the server, goes out first.
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
 
     def request(
         self, method: str, url: str, headers: Mapping[str, str], body: bytes | IO[bytes] | None
@@ -216,24 +216,30 @@ class HttpTransport:
         else:
             parts = urlsplit(url)
             target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        connection = self._connection()
+        connection = self._take()
         try:
             connection.request(method, target, body=body, headers=headers)
             response = connection.getresponse()
             return TransportResponse(status=response.status, body=response.read())
-        except self._errors as exc:
+        except BaseException as exc:
+            # A request that failed part-way leaves the connection unusable.
             connection.close()
-            raise NetworkError(f"{method} {url}: {exc}") from exc
+            if isinstance(exc, self._errors):
+                raise NetworkError(f"{method} {url}: {exc}") from exc
+            raise
+        finally:
+            self._idle.append(connection)
 
-    def _connection(self):
-        """This thread's connection; one the server has closed is reopened."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = self._connect()
-            self._connections.append(connection)
-        elif connection.sock is not None and _readable(connection.sock):
+    def _take(self):
+        """An idle connection, else a new one; one the server has closed is
+        reopened by its next request."""
+        try:
+            connection = self._idle.pop()
+        except IndexError:
+            return self._connect()
+        if connection.sock is not None and _readable(connection.sock):
             # An idle keep-alive socket is readable only once the server has
-            # closed it; the next request opens a new one.
+            # closed it.
             connection.close()
         return connection
 

@@ -1,9 +1,10 @@
 """Version identity of a software source tree, its files, and its authors.
 
-A tree under git is identified by its head commit, plus a digest of its
-tracked files when they have uncommitted changes. A plain directory is
-identified by a content hash of its files. :func:`_list_files` alone lists
-a version's files, for the id and for the source archive.
+A clean git working tree is identified by its head commit. Any other tree is
+identified by a digest of exactly what its source archive holds: the root
+directory's name and, per file, its path, owner-exec bit, size and bytes;
+for a dirty working tree, those of its tracked files. :func:`_list_files`
+alone lists a version's files, for the id and for the source archive.
 """
 
 from __future__ import annotations
@@ -48,20 +49,13 @@ class SourceVersion:
     id: str
     dirty: bool
     source_dir: Path
-    #: Content hash of a dirty tree's tracked files; empty when clean.
-    dirty_digest: str = ""
     #: (path, posix path under ``source_dir``) of each file, if detect_version listed them.
     listing: tuple[tuple[str, str], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
-    def key(self) -> str:
-        """The version's key in the DOI cache."""
-        return f"{self.id}-dirty-{self.dirty_digest}" if self.dirty else self.id
-
-    @property
     def tag(self) -> str:
         """Deposition tag identifying this exact version."""
-        return f"version:{self.kind.value}:{self.key}"
+        return f"version:{self.kind.value}:{self.id}"
 
     def files(self) -> tuple[tuple[str, str], ...]:
         """The files of this version; a clean commit's are listed on each call."""
@@ -82,63 +76,61 @@ class AuthorRef:
 def detect_version(source_dir: str | os.PathLike) -> SourceVersion:
     """Determine the version identity of ``source_dir``.
 
-    Inside a git working tree the identity is the current head commit, plus
-    the content hash of the tracked files when they have uncommitted changes;
-    otherwise it is the content hash of every file (see :func:`_hash_files`).
+    A clean git working tree is its head commit. Any other tree is a
+    :attr:`VersionKind.TREE_HASH` of its files (see :func:`_tree_digest`): a
+    dirty working tree's tracked files, with ``dirty`` set, or every file of
+    a directory outside git.
 
     Raises:
         NotADirectoryError: ``source_dir`` does not exist or is not a directory.
+        FileNotFoundError: the tree is dirty and git tracks no file under it.
+        OSError: a file shrank while it was hashed.
     """
     directory = Path(os.path.abspath(source_dir))
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
 
-    git = _git_status(directory)
-    if git is None:
-        files = _list_files(directory, tracked=False)
-        return SourceVersion(
-            kind=VersionKind.TREE_HASH,
-            id=_hash_files(files),
-            dirty=False,
-            source_dir=directory,
-            listing=files,
-        )
-    head, dirty = git
-    if not dirty:
+    head, dirty = _git_status(directory) or (None, False)
+    if head is not None and not dirty:
         return SourceVersion(kind=VersionKind.COMMIT, id=head, dirty=False, source_dir=directory)
-    files = _list_files(directory, tracked=True)
+    files = _list_files(directory, tracked=dirty)
     return SourceVersion(
-        kind=VersionKind.COMMIT,
-        id=head,
-        dirty=True,
+        kind=VersionKind.TREE_HASH,
+        id=_tree_digest(directory.name, files),
+        dirty=dirty,
         source_dir=directory,
-        dirty_digest=_dirty_digest(files),
         listing=files,
     )
 
 
-def _hash_files(files: tuple[tuple[str, str], ...]) -> str:
-    """SHA-256 over the concatenation, in list order, of ``(relative path
-    bytes, 0x00, file content bytes, 0x00)`` per file; a path's bytes are
-    those of its name on the file system (:func:`os.fsencode`)."""
-    digest = hashlib.sha256()
+def _tree_digest(root_name: str, files: tuple[tuple[str, str], ...]) -> str:
+    """SHA-256 of exactly the inputs of the source archive: the root
+    directory's name and a NUL byte, then per file in list order its
+    relative path, a NUL byte, ``b"%d %d\\0" % (owner-exec bit, size)`` and
+    its bytes. A path's bytes are those of its name on the file system
+    (:func:`os.fsencode`); the size delimits the content, so no two trees
+    give the same input.
+
+    Raises:
+        OSError: a file shrank while it was hashed.
+    """
+    digest = hashlib.sha256(root_name.encode(_FS_ENCODING, _FS_ERRORS) + b"\0")
     for path, relative in files:
-        digest.update(relative.encode(_FS_ENCODING, _FS_ERRORS))
-        digest.update(b"\x00")
-        with open(path, "rb") as handle:
-            while chunk := handle.read(_CHUNK):
+        with open(path, "rb", buffering=0) as handle:
+            stat = os.fstat(handle.fileno())
+            digest.update(relative.encode(_FS_ENCODING, _FS_ERRORS))
+            digest.update(b"\0%d %d\0" % (stat.st_mode >> 6 & 1, stat.st_size))
+            remaining = stat.st_size
+            while remaining:
+                chunk = handle.read(min(remaining, _CHUNK))
+                if not chunk:
+                    raise OSError(
+                        f"{path} shrank while it was hashed: expected"
+                        f" {stat.st_size} bytes, read {stat.st_size - remaining}"
+                    )
                 digest.update(chunk)
-        digest.update(b"\x00")
+                remaining -= len(chunk)
     return digest.hexdigest()
-
-
-def _dirty_digest(files: tuple[tuple[str, str], ...]) -> str:
-    """SHA-256 of the hex :func:`_hash_files` digest of a dirty tree's
-    tracked files, then one byte per file in list order, 1 when its owner may
-    execute it, else 0: the archive records that bit, and git reports a
-    change of it as an edit."""
-    modes = bytes(os.stat(path).st_mode >> 6 & 1 for path, _ in files)
-    return hashlib.sha256(_hash_files(files).encode("ascii") + modes).hexdigest()
 
 
 def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[str, str], ...]:

@@ -8,10 +8,16 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import settings
 
 from geopub import repo_protocol
 from geopub.mock_service import MockServer, MockService, ServiceConfig
 from geopub.repo_protocol import BackendProfile, RepositoryClient
+
+
+# More examples for a property than tier-1's default 100; select it with
+# ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture(autouse=True)

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -17,11 +18,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_project
-from test_vcs_info import _reference_dirty_digest
+from test_vcs_info import _reference_tree_hash
 
 import geopub
 from geopub import manifest, orchestrator, vcs_info
@@ -337,18 +338,18 @@ class TestPublishSoftware:
         record = backend.service.deposition_record(outcome.result.publication_id)
         assert record["authors"] == [{"name": "Ada Lovelace", "id": "554577"}]
 
-    def test_dirty_git_tree_gets_dirty_tag(self, source_tree, backend):
+    def test_dirty_git_tree_gets_tree_hash_tag(self, source_tree, backend):
         _commit_all(source_tree)
-        head = _git(source_tree, "rev-parse", "HEAD")
         (source_tree / "README").write_text("edited\n")
         outcome = publish_software(backend.profile, source_tree)
         assert outcome.version.dirty is True
-        assert outcome.version.id == head
+        digest = _reference_tree_hash(source_tree)
+        assert outcome.version.id == digest
         record = backend.service.deposition_record(outcome.result.publication_id)
-        tag = f"version:commit:{head}-dirty-{_reference_dirty_digest(source_tree)}"
+        tag = f"version:treehash:{digest}"
         assert tag == outcome.version.tag
         assert record["tags"] == [tag, "meshtool"]
-        assert record["title"] == f"meshtool source ({head[:12]})"
+        assert record["title"] == f"meshtool source ({digest[:12]})"
 
     @pytest.mark.parametrize("searchable", [True, False], ids=["search", "cache"])
     def test_second_edit_of_dirty_tree_gets_new_deposition(
@@ -431,7 +432,7 @@ class TestPublishSoftware:
         assert outcome.result.publication_id == 2
         assert outcome.result.doi != other.result.doi
         version = detect_version(source_tree)
-        assert cache.get(backend.profile.name, version.key).publication_id == 2
+        assert cache.get(backend.profile.name, version.id).publication_id == 2
         assert any("does not carry" in r.getMessage() for r in caplog.records)
 
     def test_cache_record_of_clean_commit_keeps_its_key(self, source_tree, make_backend, cache):
@@ -855,6 +856,84 @@ class TestSourceArchive:
             build_source_archive(version, tmp_path)
         assert str(victim) in str(raised.value)
         assert "expected 5000 bytes" in str(raised.value)
+
+
+def _id_and_archive(tree: Path, dest_dir: Path) -> tuple[str, bytes]:
+    """The version id of ``tree`` and the bytes of its archive."""
+    version = detect_version(tree)
+    return version.id, build_source_archive(version, dest_dir).read_bytes()
+
+
+@st.composite
+def _tree_pairs(draw):
+    """A tree of :func:`_trees` and a variant of it, each as (root name,
+    files): the same files, the root renamed, one exec bit toggled, two
+    neighbouring files joined into one with NUL bytes, or one byte changed."""
+    files = draw(_trees())
+    variant = draw(st.sampled_from(["same", "root", "exec", "join", "byte"]))
+    root, other = "meshtool", list(files)
+    if variant == "root":
+        root = "meshtool2"
+    elif variant == "exec":
+        at = draw(st.integers(0, len(files) - 1))
+        path, content, executable = files[at]
+        other[at] = (path, content, not executable)
+    elif variant == "join":
+        assume(len(files) >= 2)
+        other.sort(key=lambda file: file[0].encode())
+        at = draw(st.integers(0, len(files) - 2))
+        (path, content, executable), (next_path, next_content, _) = other[at : at + 2]
+        joined = content + b"\0" + next_path.encode() + b"\0" + next_content
+        other[at : at + 2] = [(path, joined, executable)]
+    elif variant == "byte":
+        filled = [at for at, (_, content, _) in enumerate(files) if content]
+        assume(filled)
+        at = draw(st.sampled_from(filled))
+        path, content, executable = files[at]
+        offset = draw(st.integers(0, len(content) - 1))
+        changed = content[:offset] + bytes([content[offset] ^ 1]) + content[offset + 1 :]
+        other[at] = (path, changed, executable)
+    return ("meshtool", files), (root, other)
+
+
+class TestIdNamesTheArchive:
+    """Two plain or dirty trees get the same version id exactly when their
+    archives are byte-identical, so a reused DOI holds the same bytes."""
+
+    def test_renamed_root_gets_another_id(self, source_tree, tmp_path):
+        copy = shutil.copytree(source_tree, tmp_path / "meshtool2")
+        first = _id_and_archive(source_tree, tmp_path / "out" / "a")
+        second = _id_and_archive(copy, tmp_path / "out" / "b")
+        assert first[1] != second[1]
+        assert first[0] != second[0]
+
+    def test_exec_bit_of_a_plain_tree_changes_the_id(self, source_tree, tmp_path):
+        before = _id_and_archive(source_tree, tmp_path / "a")
+        (source_tree / "README").chmod(0o755)
+        after = _id_and_archive(source_tree, tmp_path / "b")
+        assert before[1] != after[1]
+        assert before[0] != after[0]
+
+    def test_content_with_nul_bytes_is_not_two_files(self, tmp_path):
+        joined, split = tmp_path / "joined" / "meshtool", tmp_path / "split" / "meshtool"
+        _write_tree(joined, [("a", b"X\0b\0Y", False)])
+        _write_tree(split, [("a", b"X", False), ("b", b"Y", False)])
+        first = _id_and_archive(joined, tmp_path / "out" / "joined")
+        second = _id_and_archive(split, tmp_path / "out" / "split")
+        assert first[1] != second[1]
+        assert first[0] != second[0]
+
+    @settings(deadline=None)
+    @given(pair=_tree_pairs())
+    def test_same_id_exactly_when_same_archive(self, pair):
+        with tempfile.TemporaryDirectory() as scratch:
+            sides = []
+            for side, (root, files) in zip("ab", pair):
+                tree = Path(scratch) / side / root
+                _write_tree(tree, files)
+                sides.append(_id_and_archive(tree, Path(scratch) / "out" / side))
+        (first_id, first_archive), (second_id, second_archive) = sides
+        assert (first_id == second_id) == (first_archive == second_archive)
 
 
 def delete_after_create(monkeypatch, path: Path) -> None:

@@ -375,7 +375,25 @@ class TestHttpEnvironment:
 
 
 class TestKeepAlive:
-    """One connection per thread, reused while the server keeps it open."""
+    """A connection is reused by the next request, from any thread, while the
+    server keeps it open."""
+
+    def test_threads_one_after_another_leave_one_open_socket(self, server, monkeypatch):
+        opened = []
+        create_connection = socket.create_connection
+
+        def recording_create_connection(*args, **kwargs):
+            opened.append(create_connection(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording_create_connection)
+        client = server.client()
+        for _ in range(4):
+            thread = threading.Thread(target=client.create_deposition, args=(META,))
+            thread.start()
+            thread.join()
+        assert server.service.deposition_count() == 4
+        assert sum(sock.fileno() != -1 for sock in opened) <= 1
 
     @pytest.mark.parametrize(
         "token, deposition_id, status", [("wrong", 1, 401), ("test-token", 99, 404)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import subprocess
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from geopub.vcs_info import (
     parse_authors,
 )
 
-EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-# Frozen from an independent run of the concatenation rule through sha256sum:
-#   printf 'a.txt\x00alpha\n\x00sub/b.txt\x00beta\n\x00' | sha256sum
-TWO_FILE_TREE_SHA256 = "75ad51652f99b63bc0c629e2fb3e23a3c4b8b81057e59bd3e83df3d3ca63d42a"
+# Frozen from independent runs of the tree-hash rule through sha256sum, for a
+# directory named ``tree``:
+#   printf 'tree\x00' | sha256sum
+EMPTY_SHA256 = "4c91b08843fdda8593f1552b5a6f10075310e7773fed804c20e24813c963f26f"
+#   printf 'tree\x00a.txt\x000 6\x00alpha\nsub/b.txt\x000 5\x00beta\n' | sha256sum
+TWO_FILE_TREE_SHA256 = "118c3fda780d388f23fe35b476bd651d66fbbf57c3fc8598a9908ad41d49051c"
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -53,45 +56,43 @@ class TestDetectVersion:
         assert version.id == expected_head
         assert version.dirty is False
 
-    def test_edited_tracked_file_is_dirty_same_commit(self, git_repo):
-        head = _git(git_repo, "rev-parse", "HEAD")
+    def test_edited_tracked_file_is_dirty_tree_hash(self, git_repo):
         (git_repo / "module.py").write_text("VALUE = 2\n")
         version = detect_version(git_repo)
         assert version.dirty is True
-        assert version.id == head
+        assert version.kind is VersionKind.TREE_HASH
+        assert version.id == _reference_tree_hash(git_repo)
 
-    def test_clean_commit_key_and_tag_are_the_head(self, git_repo):
+    def test_clean_commit_id_and_tag_are_the_head(self, git_repo):
         head = _git(git_repo, "rev-parse", "HEAD")
         version = detect_version(git_repo)
-        assert version.key == head
+        assert version.id == head
         assert version.tag == f"version:commit:{head}"
 
     def test_plain_tree_tag_is_its_tree_hash(self, tmp_path):
         (tmp_path / "f.txt").write_text("data")
         version = detect_version(tmp_path)
-        assert version.key == version.id == _reference_tree_hash(tmp_path)
+        assert version.id == _reference_tree_hash(tmp_path)
         assert version.tag == f"version:treehash:{version.id}"
 
-    def test_dirty_key_follows_tracked_content_only(self, git_repo):
-        head = _git(git_repo, "rev-parse", "HEAD")
+    def test_dirty_id_follows_tracked_content_only(self, git_repo):
         (git_repo / "module.py").write_text("VALUE = 2\n")
         first = detect_version(git_repo)
-        assert first.key == f"{head}-dirty-{_reference_dirty_digest(git_repo)}"
+        assert first.id == _reference_tree_hash(git_repo)
         (git_repo / "untracked.txt").write_text("notes\n")
-        assert detect_version(git_repo).key == first.key
+        assert detect_version(git_repo).id == first.id
         (git_repo / "module.py").write_text("VALUE = 3\n")
         second = detect_version(git_repo)
-        assert second.id == first.id == head
-        assert second.key != first.key
+        assert second.id != first.id
         assert second != first
 
-    def test_dirty_key_follows_executable_bit(self, git_repo):
+    def test_dirty_id_follows_executable_bit(self, git_repo):
         (git_repo / "README").write_text("edited\n")
         before = detect_version(git_repo)
         (git_repo / "module.py").chmod(0o755)
         after = detect_version(git_repo)
-        assert after.key == f"{after.id}-dirty-{_reference_dirty_digest(git_repo)}"
-        assert after.key != before.key
+        assert after.id == _reference_tree_hash(git_repo)
+        assert after.id != before.id
 
     def test_untracked_file_keeps_tree_clean(self, git_repo):
         (git_repo / "scratch.txt").write_text("notes\n")
@@ -156,42 +157,40 @@ def _tree_id(root: Path) -> str:
 
 
 def _reference_tree_hash(root: Path) -> str:
-    """Independent restatement of the tree-hash rule."""
-    blobs = []
+    """Independent restatement of the tree-hash rule, for a directory outside
+    git or one whose files git all tracks: SHA-256 of the root's name and a
+    NUL, then per file in byte order of its path, the path, a NUL,
+    ``"<owner-exec bit> <size>"``, a NUL, and the content."""
+    files = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d not in (".git", ".hg", ".svn")]
         for name in filenames:
             full = os.path.join(dirpath, name)
-            if os.path.islink(full):
-                continue
-            rel = os.path.relpath(full, root).replace(os.sep, "/")
-            blobs.append((rel, Path(full).read_bytes()))
-    digest = hashlib.sha256()
-    for rel, content in sorted(blobs, key=lambda pair: pair[0].encode("utf-8")):
-        digest.update(rel.encode("utf-8") + b"\x00" + content + b"\x00")
-    return digest.hexdigest()
-
-
-def _reference_dirty_digest(root: Path) -> str:
-    """Independent restatement of the dirty digest, for a tree whose files
-    are all tracked."""
-    files = sorted(
-        (path for path in root.rglob("*") if ".git" not in path.relative_to(root).parts),
-        key=lambda path: path.relative_to(root).as_posix().encode("utf-8"),
-    )
-    modes = bytes(1 if path.stat().st_mode & 0o100 else 0 for path in files if path.is_file())
-    return hashlib.sha256(_reference_tree_hash(root).encode("ascii") + modes).hexdigest()
+            if not os.path.islink(full):
+                files.append((os.fsencode(os.path.relpath(full, root)), full))
+    stream = os.fsencode(root.name) + b"\x00"
+    for rel, full in sorted(files):
+        content = Path(full).read_bytes()
+        executable = 1 if os.stat(full).st_mode & stat.S_IXUSR else 0
+        stream += rel + b"\x00" + f"{executable} {len(content)}".encode() + b"\x00" + content
+    return hashlib.sha256(stream).hexdigest()
 
 
 class TestTreeHash:
-    def test_empty_directory_is_hash_of_nothing(self, tmp_path):
-        assert _tree_id(tmp_path) == EMPTY_SHA256
+    @pytest.fixture
+    def tree(self, tmp_path) -> Path:
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        return tree
 
-    def test_two_file_fixture_frozen_digest(self, tmp_path):
-        (tmp_path / "a.txt").write_bytes(b"alpha\n")
-        (tmp_path / "sub").mkdir()
-        (tmp_path / "sub" / "b.txt").write_bytes(b"beta\n")
-        assert _tree_id(tmp_path) == TWO_FILE_TREE_SHA256
+    def test_empty_directory_is_hash_of_its_name(self, tree):
+        assert _tree_id(tree) == EMPTY_SHA256
+
+    def test_two_file_fixture_frozen_digest(self, tree):
+        (tree / "a.txt").write_bytes(b"alpha\n")
+        (tree / "sub").mkdir()
+        (tree / "sub" / "b.txt").write_bytes(b"beta\n")
+        assert _tree_id(tree) == TWO_FILE_TREE_SHA256
 
     def test_rename_changes_digest(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"alpha\n")
