@@ -44,7 +44,7 @@ from .repo_protocol import (
     PublicationResult,
     RepositoryClient,
 )
-from .vcs_info import SourceVersion, detect_version, parse_authors
+from .vcs_info import SourceVersion, detect_version, parse_authors, stream_files
 
 logger = logging.getLogger(__name__)
 
@@ -341,8 +341,6 @@ def _find_published(
 #: Tar block and record sizes; a record is the 20 blocks GNU tar writes at a time.
 _BLOCK = 512
 _RECORD = 20 * _BLOCK
-#: Bytes read from a member, and held before a write to the archive, at once.
-_CHUNK = 1024 * 1024
 
 
 def build_source_archive(
@@ -355,49 +353,36 @@ def build_source_archive(
     normalized ownership/modes, so the same files always yield the same bytes.
     The bytes are those of ``tarfile.GNU_FORMAT``: a name longer than 100
     bytes gets a ``././@LongLink`` header first, and the archive ends on a
-    10240-byte record. Each file is read once, and every byte written is also
-    fed to ``digest`` (a :mod:`hashlib` object) when one is given.
+    10240-byte record. Each file is read once (:func:`.vcs_info.stream_files`),
+    and every byte written is also fed to ``digest`` (a :mod:`hashlib`
+    object) when one is given. On more than one processor, once the archive
+    passes 1 MiB, one worker thread writes and hashes it while the next MiB
+    is read, and at most two 1 MiB buffers are held.
 
     Raises:
         FileNotFoundError: git tracks no file under a commit's directory.
-        OSError: a file shrank while it was archived.
+        OSError: a file shrank while it was read, or the archive could not
+            be written; the archive file is closed first.
     """
     source_dir = version.source_dir
     dest_dir.mkdir(parents=True, exist_ok=True)
     archive_path = dest_dir / f"{source_dir.name}-{version.id[:12]}.tar"
     root = os.fsencode(source_dir.name) + b"/"
-    pending = bytearray()
+
+    def header(relative: str, status: os.stat_result) -> bytes:
+        mode = 0o755 if status.st_mode & 0o100 else 0o644
+        return _member_header(root + os.fsencode(relative), mode, status.st_size)
+
     with open(archive_path, "wb") as tar:
 
-        def flush() -> None:
-            tar.write(pending)
+        def sink(data: memoryview | bytes) -> None:
+            tar.write(data)
             if digest is not None:
-                digest.update(pending)
-            pending.clear()
+                digest.update(data)
 
-        for path, relative in version.files():
-            with open(path, "rb", buffering=0) as handle:
-                stat = os.fstat(handle.fileno())
-                mode = 0o755 if stat.st_mode & 0o100 else 0o644
-                pending += _member_header(root + os.fsencode(relative), mode, stat.st_size)
-                remaining = stat.st_size
-                while remaining:
-                    if len(pending) >= _CHUNK:
-                        flush()
-                    chunk = handle.read(min(remaining, _CHUNK - len(pending)))
-                    if not chunk:
-                        raise OSError(
-                            f"{path} shrank while it was archived: expected"
-                            f" {stat.st_size} bytes, read {stat.st_size - remaining}"
-                        )
-                    pending += chunk
-                    remaining -= len(chunk)
-            pending += bytes(-stat.st_size % _BLOCK)
-            if len(pending) >= _CHUNK:
-                flush()
-        pending += bytes(2 * _BLOCK)
-        pending += bytes(-(tar.tell() + len(pending)) % _RECORD)
-        flush()
+        length = stream_files(version.files(), header, sink, block=_BLOCK)
+        # Two zero blocks end the archive, padded to a whole record.
+        sink(bytes(2 * _BLOCK + -(length + 2 * _BLOCK) % _RECORD))
     return archive_path
 
 

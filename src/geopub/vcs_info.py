@@ -4,7 +4,8 @@ A clean git working tree is identified by its head commit. Any other tree is
 identified by a digest of exactly what its source archive holds: the root
 directory's name and, per file, its path, owner-exec bit, size and bytes;
 for a dirty working tree, those of its tracked files. :func:`_list_files`
-alone lists a version's files, for the id and for the source archive.
+alone lists a version's files, and :func:`stream_files` alone reads them, for
+the id and for the source archive.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import hashlib
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
+from collections.abc import Callable, Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -27,7 +31,8 @@ logger = logging.getLogger(__name__)
 #: content identity.
 VCS_METADATA_DIRS = frozenset({".git", ".hg", ".svn"})
 
-_CHUNK = 1024 * 1024
+#: Bytes of one batch of a file stream (:func:`stream_files`).
+BATCH = 1024 * 1024
 
 #: The codec of :func:`os.fsencode`, which gives back the bytes of a name as
 #: the file system holds them. ``str.encode`` with it skips the wrapper's
@@ -84,7 +89,7 @@ def detect_version(source_dir: str | os.PathLike) -> SourceVersion:
     Raises:
         NotADirectoryError: ``source_dir`` does not exist or is not a directory.
         FileNotFoundError: the tree is dirty and git tracks no file under it.
-        OSError: a file shrank while it was hashed.
+        OSError: a file shrank while it was read.
     """
     directory = Path(os.path.abspath(source_dir))
     if not directory.is_dir():
@@ -109,28 +114,137 @@ def _tree_digest(root_name: str, files: tuple[tuple[str, str], ...]) -> str:
     relative path, a NUL byte, ``b"%d %d\\0" % (owner-exec bit, size)`` and
     its bytes. A path's bytes are those of its name on the file system
     (:func:`os.fsencode`); the size delimits the content, so no two trees
-    give the same input.
+    give the same input. The files are read by :func:`stream_files`.
 
     Raises:
-        OSError: a file shrank while it was hashed.
+        OSError: a file shrank while it was read.
     """
     digest = hashlib.sha256(root_name.encode(_FS_ENCODING, _FS_ERRORS) + b"\0")
-    for path, relative in files:
-        with open(path, "rb", buffering=0) as handle:
-            stat = os.fstat(handle.fileno())
-            digest.update(relative.encode(_FS_ENCODING, _FS_ERRORS))
-            digest.update(b"\0%d %d\0" % (stat.st_mode >> 6 & 1, stat.st_size))
-            remaining = stat.st_size
-            while remaining:
-                chunk = handle.read(min(remaining, _CHUNK))
-                if not chunk:
-                    raise OSError(
-                        f"{path} shrank while it was hashed: expected"
-                        f" {stat.st_size} bytes, read {stat.st_size - remaining}"
-                    )
-                digest.update(chunk)
-                remaining -= len(chunk)
+
+    def header(relative: str, status: os.stat_result) -> bytes:
+        name = relative.encode(_FS_ENCODING, _FS_ERRORS)
+        return name + b"\0%d %d\0" % (status.st_mode >> 6 & 1, status.st_size)
+
+    stream_files(files, header, digest.update)
     return digest.hexdigest()
+
+
+def stream_files(
+    files: Iterable[tuple[str, str]],
+    header: Callable[[str, os.stat_result], bytes],
+    sink: Callable[[memoryview], object],
+    *,
+    block: int = 1,
+) -> int:
+    """Feed ``sink`` the stream of ``files``, each a (path, relative path):
+    per file ``header(relative path, its stat)``, then its bytes, padded
+    with zero bytes to a multiple of ``block``. Return the stream's length.
+
+    Each file is read once, its size taken from ``os.fstat`` on the open
+    handle, with ``readinto`` straight into a :data:`BATCH`-byte buffer, and
+    ``sink`` gets each full buffer and then the last, shorter one; it must
+    not keep them. On more than one processor, once the stream fills its
+    first batch, ``sink`` runs on one worker thread: it takes one buffer
+    while this thread fills the other, so at most two batches are held. A
+    stream under one batch, or one on a single processor, runs ``sink`` on
+    this thread.
+
+    Raises:
+        OSError: a file shrank while it was read, naming it and its expected
+            size; or the error of ``sink``, as it raised it. The worker has
+            finished either way.
+    """
+    batches = _Batches(sink)
+    try:
+        for path, relative in files:
+            with open(path, "rb", buffering=0) as handle:
+                status = os.fstat(handle.fileno())
+                batches.put(header(relative, status))
+                read = batches.read(handle, status.st_size)
+            if read < status.st_size:
+                raise OSError(
+                    f"{path} shrank while it was read: expected {status.st_size} bytes,"
+                    f" read {read}"
+                )
+            padding = -status.st_size % block
+            if padding:
+                batches.put(bytes(padding))
+        return batches.finish()
+    finally:
+        batches.stop()
+
+
+class _Batches:
+    """A stream cut into :data:`BATCH`-byte batches, each handed to a sink as
+    it fills: on one worker thread from the first full batch on when there
+    is more than one processor, else on this thread."""
+
+    def __init__(self, sink: Callable[[memoryview], object]):
+        self._sink = sink
+        self._batch = memoryview(bytearray(BATCH))
+        self._spare: memoryview | None = None
+        self._filled = 0
+        self._shipped = 0
+        self._worker: ThreadPoolExecutor | None = None
+        self._in_flight: Future | None = None
+
+    def put(self, data: bytes) -> None:
+        """Append ``data`` to the stream."""
+        while data:
+            filled = self._filled
+            end = min(filled + len(data), BATCH)
+            self._batch[filled:end] = data[: end - filled]
+            data = data[end - filled :]
+            self._filled = end
+            if end == BATCH:
+                self._ship()
+
+    def read(self, handle, size: int) -> int:
+        """Append up to ``size`` bytes read from ``handle``; return how many
+        it held before its end."""
+        remaining = size
+        while remaining:
+            filled = self._filled
+            count = handle.readinto(self._batch[filled : min(filled + remaining, BATCH)])
+            if not count:
+                break
+            remaining -= count
+            self._filled = filled + count
+            if self._filled == BATCH:
+                self._ship()
+        return size - remaining
+
+    def finish(self) -> int:
+        """Hand the last batch to the sink, once the one in flight is done;
+        return the stream's length."""
+        self._wait()
+        self._sink(self._batch[: self._filled])
+        return self._shipped + self._filled
+
+    def stop(self) -> None:
+        """Let the worker finish the batch in flight, and end it. After an
+        error of the stream's own, one the sink may have raised meanwhile is
+        dropped."""
+        if self._worker is not None:
+            self._worker.shutdown()
+
+    def _ship(self) -> None:
+        if not self._shipped and (os.cpu_count() or 1) > 1:
+            self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geopub-stream")
+            self._spare = memoryview(bytearray(BATCH))
+        if self._worker is None:
+            self._sink(self._batch)
+        else:
+            # The spare buffer is free once the batch in it is done.
+            self._wait()
+            self._in_flight = self._worker.submit(self._sink, self._batch)
+            self._batch, self._spare = self._spare, self._batch
+        self._shipped += BATCH
+        self._filled = 0
+
+    def _wait(self) -> None:
+        if self._in_flight is not None:
+            self._in_flight.result()
 
 
 def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[str, str], ...]:
@@ -152,7 +266,11 @@ def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[str, str], ...
         # An unmerged path is listed once per conflict stage.
         for relative in dict.fromkeys(os.fsdecode(listed).split("\0")[:-1]):
             path = os.path.join(directory, relative)
-            if os.path.isfile(path) and not os.path.islink(path):
+            try:
+                mode = os.lstat(path).st_mode
+            except OSError:
+                continue
+            if stat.S_ISREG(mode):
                 collected.append((path, relative))
         if not collected:
             raise FileNotFoundError(

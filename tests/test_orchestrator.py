@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import gc
 import hashlib
 import io
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_project
-from test_vcs_info import _reference_tree_hash
+from test_vcs_info import BATCH_TREES, _noise, _reference_tree_hash, _write_files
 
 import geopub
 from geopub import manifest, orchestrator, vcs_info
@@ -45,7 +46,7 @@ from geopub.orchestrator import (
 )
 from geopub.qgis_project import collect_datasources, parse_project
 from geopub.repo_protocol import RepositoryClient
-from geopub.vcs_info import detect_version
+from geopub.vcs_info import BATCH, detect_version
 
 
 @pytest.fixture
@@ -858,6 +859,162 @@ class TestSourceArchive:
         assert "expected 5000 bytes" in str(raised.value)
 
 
+#: Trees whose archive, before its two end blocks, spans more than one
+#: :data:`BATCH`: a member header is 512 bytes and its content is padded to a
+#: multiple of 512, so the archive meets a batch's end only between blocks.
+ARCHIVE_BATCH_TREES = {
+    "archive-of-exactly-two-batches": lambda: [("a.bin", _noise(2 * BATCH - 512))],
+    # "b"*150 gets a LongLink header, which starts the second batch.
+    "long-name-header-starts-a-batch": lambda: [
+        ("a.bin", _noise(BATCH - 1000)),
+        ("b" * 150, b"long"),
+    ],
+    "empty-members-across-a-batch": lambda: [
+        ("a.bin", _noise(BATCH - 1535)),
+        ("b0", b""),
+        ("b1", b""),
+        ("c.bin", _noise(BATCH, seed=1)),
+        ("d0", b""),
+    ],
+}
+
+
+@pytest.fixture
+def two_processors(monkeypatch) -> None:
+    """Report two processors, so a stream past one batch hands its batches
+    to a worker thread on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list:
+    """Each thread started from then on, as a one-tuple."""
+    return _count_calls(monkeypatch, threading.Thread, "start")
+
+
+class _FullDisk:
+    """A file opened for writing whose every write fails with ``error``,
+    recording the thread that tried it."""
+
+    def __init__(self, handle, error: OSError):
+        self.handle = handle
+        self.error = error
+        self.writers: list[threading.Thread] = []
+
+    def write(self, data) -> int:
+        self.writers.append(threading.current_thread())
+        raise self.error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
+
+
+class TestArchivePipeline:
+    """Streams past one batch, whose batches a worker thread hashes and
+    writes while the next one is read."""
+
+    @pytest.mark.parametrize("name", [*BATCH_TREES, *ARCHIVE_BATCH_TREES])
+    def test_id_and_archive_match_their_references(
+        self, tmp_path, two_processors, thread_starts, name
+    ):
+        tree = tmp_path / "meshtool"
+        _write_files(tree, {**BATCH_TREES, **ARCHIVE_BATCH_TREES}[name]())
+        version = detect_version(tree)
+        thread_starts.clear()
+        archive = build_source_archive(version, tmp_path / "out")
+        [(worker,)] = thread_starts
+        assert not worker.is_alive()
+        assert version.id == _reference_tree_hash(tree)
+        assert archive.read_bytes() == _tarfile_archive(tree)
+
+    def test_many_batches_under_a_short_switch_interval(self, tmp_path, two_processors):
+        # Sizes on and around a batch, so that the reader and the worker trade
+        # buffers often and at every kind of offset.
+        sizes = [BATCH // 3, 0, 2 * BATCH + 1, 17, BATCH, BATCH - 1, 5000, 3 * BATCH // 2]
+        tree = tmp_path / "meshtool"
+        _write_files(tree, [(f"f{i}", _noise(size, seed=i)) for i, size in enumerate(sizes)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            version = detect_version(tree)
+            archive = build_source_archive(version, tmp_path / "out")
+        finally:
+            sys.setswitchinterval(interval)
+        assert version.id == _reference_tree_hash(tree)
+        assert archive.read_bytes() == _tarfile_archive(tree)
+
+    @pytest.mark.parametrize("step", ["id", "archive"])
+    def test_file_shrinking_after_the_first_batch_raises_naming_it(
+        self, tmp_path, monkeypatch, two_processors, thread_starts, step
+    ):
+        tree = tmp_path / "meshtool"
+        _write_files(tree, [("a.bin", _noise(BATCH + BATCH // 2)), ("b.txt", b"x" * 5000)])
+        version = detect_version(tree)
+        threads = threading.active_count()
+        thread_starts.clear()
+        victim = tree / "b.txt"
+        shrink_after_fstat(monkeypatch, victim)
+        with pytest.raises(OSError) as raised:
+            if step == "id":
+                detect_version(tree)
+            else:
+                build_source_archive(version, tmp_path / "out")
+        assert str(victim) in str(raised.value)
+        assert "expected 5000 bytes" in str(raised.value)
+        assert len(thread_starts) == 1
+        assert not any(thread.is_alive() for thread, in thread_starts)
+        assert threading.active_count() == threads
+
+    def test_write_error_propagates_unwrapped_and_closes_the_archive(
+        self, tmp_path, monkeypatch, two_processors, thread_starts
+    ):
+        tree = tmp_path / "meshtool"
+        _write_files(tree, BATCH_TREES["file-over-two-batches"]())
+        version = detect_version(tree)
+        threads = threading.active_count()
+        thread_starts.clear()
+        error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        archives: list[_FullDisk] = []
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            handle = builtins.open(file, mode, *args, **kwargs)
+            if "w" not in mode:
+                return handle
+            archives.append(_FullDisk(handle, error))
+            return archives[-1]
+
+        monkeypatch.setattr(orchestrator, "open", open_on_full_disk, raising=False)
+        with pytest.raises(OSError) as raised:
+            build_source_archive(version, tmp_path / "out")
+        assert raised.value is error
+        [archive] = archives
+        assert archive.handle.closed
+        # The first batch's write, on the worker.
+        assert [(writer,) for writer in archive.writers] == thread_starts
+        assert not any(thread.is_alive() for thread, in thread_starts)
+        assert threading.active_count() == threads
+
+    def test_stream_under_one_batch_starts_no_thread(
+        self, source_tree, tmp_path, two_processors, thread_starts
+    ):
+        version = detect_version(source_tree)
+        build_source_archive(version, tmp_path / "out", digest=hashlib.sha256())
+        assert thread_starts == []
+
+    def test_one_processor_starts_no_thread(self, tmp_path, monkeypatch, thread_starts):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        tree = tmp_path / "meshtool"
+        _write_files(tree, BATCH_TREES["file-over-two-batches"]())
+        version = detect_version(tree)
+        archive = build_source_archive(version, tmp_path / "out")
+        assert thread_starts == []
+        assert version.id == _reference_tree_hash(tree)
+        assert archive.read_bytes() == _tarfile_archive(tree)
+
+
 def _id_and_archive(tree: Path, dest_dir: Path) -> tuple[str, bytes]:
     """The version id of ``tree`` and the bytes of its archive."""
     version = detect_version(tree)
@@ -1034,3 +1191,14 @@ class TestCost:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 1024 * 1024
+
+    def test_id_of_a_32_mb_file_peaks_under_3_mb(self, source_tree):
+        with open(source_tree / "grid.bin", "wb") as grid:
+            grid.truncate(32 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            detect_version(source_tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1024 * 1024

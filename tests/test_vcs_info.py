@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import stat
 import subprocess
 from pathlib import Path
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from geopub.errors import AuthorsFormatError
 from geopub.vcs_info import (
+    BATCH,
     AuthorRef,
     VersionKind,
     detect_version,
     parse_authors,
+    stream_files,
 )
 
 # Frozen from independent runs of the tree-hash rule through sha256sum, for a
@@ -234,6 +237,82 @@ class TestTreeHash:
 
         reverse_listing()
         assert _tree_id(tmp_path) == normal
+
+
+def _noise(size: int, seed: int = 0) -> bytes:
+    """``size`` bytes without a period, so batches handed on in another order
+    change every digest."""
+    return random.Random(seed).randbytes(size)
+
+
+def _id_header(relative: str, size: int) -> bytes:
+    """What the tree-hash rule puts before a file's content."""
+    return os.fsencode(relative) + b"\0%d %d\0" % (0, size)
+
+
+def _fill_to(end: int, relative: str) -> tuple[str, bytes]:
+    """A file that, first in a tree, ends the tree-hash stream after the
+    root's name exactly at byte ``end``."""
+    size = end - len(_id_header(relative, end))
+    size = end - len(_id_header(relative, size))
+    assert len(_id_header(relative, size)) + size == end
+    return relative, _noise(size)
+
+
+def _write_files(root: Path, files) -> None:
+    for relative, content in files:
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(content)
+
+
+#: Trees whose streams span more than one :data:`BATCH`, each a function that
+#: returns its (relative path, content) pairs, in path order.
+BATCH_TREES = {
+    "file-over-two-batches": lambda: [
+        ("a.txt", b"first\n"),
+        ("big.bin", _noise(2 * BATCH + 1000)),
+        ("z.txt", b"last\n"),
+    ],
+    # Long paths with one byte each around the end of the first batch, so
+    # some path and header are split between two batches.
+    "headers-across-a-batch": lambda: [
+        ("a.bin", _noise(BATCH - 2000)),
+        *((f"b/{index:03d}-" + "n" * 150, b"x") for index in range(40)),
+    ],
+    "stream-of-exactly-two-batches": lambda: [_fill_to(2 * BATCH, "a.bin")],
+    "empty-files-between": lambda: [
+        _fill_to(BATCH, "a.bin"),
+        ("b0", b""),
+        ("b1", b""),
+        ("c.bin", _noise(BATCH + 7, seed=1)),
+        ("d0", b""),
+        ("e.bin", b"tail"),
+    ],
+}
+
+
+class TestMultiBatchStream:
+    @pytest.mark.parametrize("name", BATCH_TREES)
+    def test_id_matches_reference(self, tmp_path, name):
+        tree = tmp_path / "tree"
+        _write_files(tree, BATCH_TREES[name]())
+        assert _tree_id(tree) == _reference_tree_hash(tree)
+
+    @pytest.mark.parametrize("processors", [1, 2])
+    def test_sink_gets_whole_batches_then_the_rest(self, tmp_path, monkeypatch, processors):
+        monkeypatch.setattr(os, "cpu_count", lambda: processors)
+        files = [_fill_to(2 * BATCH, "a.bin")]
+        _write_files(tmp_path, files)
+        sizes = []
+        listing = [(str(tmp_path / relative), relative) for relative, _ in files]
+        length = stream_files(
+            listing,
+            lambda relative, status: _id_header(relative, status.st_size),
+            lambda data: sizes.append(len(data)),
+        )
+        assert length == 2 * BATCH
+        assert sizes == [BATCH, BATCH, 0]
 
 
 class TestParseAuthors:
