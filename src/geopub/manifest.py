@@ -13,19 +13,26 @@ import json
 import logging
 import os
 import tempfile
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
+from . import vcs_info
 from .errors import MissingFileError
 from .qgis_project import DataSourceRef, ProjectFile
 from .vcs_info import AuthorRef
 
 logger = logging.getLogger(__name__)
 
-_CHUNK = 1024 * 1024
+#: Bytes from which a file's hashing or upload may run on a pool thread
+#: (see :func:`map_files`).
+POOL_MIN_SIZE = 1024 * 1024
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 #: Header line that opens a Gmsh mesh file.
 MESH_HEADER = b"$MeshFormat"
@@ -66,11 +73,69 @@ class PublicationManifest:
 
 def checksum_file(path: str | os.PathLike) -> str:
     """SHA-256 of the file's bytes, as a lowercase hex digest."""
-    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        while chunk := handle.read(_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+def map_files(
+    work: Callable[[_Item], _Result], items: Sequence[_Item], sizes: Sequence[int]
+) -> list[_Result]:
+    """``work`` of each item, in item order; ``sizes`` are the bytes of each
+    item's file.
+
+    Items of at least :data:`POOL_MIN_SIZE` bytes run side by side on a pool
+    of one thread per processor the process may run on, at most one per
+    such item, while the others run in order on this thread. A large file's
+    hashing and socket writes release the interpreter lock; a small file's
+    work is Python work under it, which a pool thread's hand-offs would only
+    slow. Unless two such items and two processors make at least two
+    threads, every item runs in order on this thread.
+
+    After a failure no further item starts, those in flight finish, and the
+    error of the earliest failed item in order propagates.
+    """
+    pooled = [size >= POOL_MIN_SIZE for size in sizes]
+    workers = min(sum(pooled), vcs_info._usable_processors())
+    if workers < 2:
+        return [work(item) for item in items]
+
+    failed = threading.Event()
+
+    def guarded(item: _Item) -> _Result | None:
+        if failed.is_set():
+            return None
+        try:
+            return work(item)
+        except BaseException:
+            # Set before a pooled item's future completes, so that no
+            # worker starts another item after it.
+            failed.set()
+            raise
+
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = {
+            index: pool.submit(guarded, item) for index, item in enumerate(items) if pooled[index]
+        }
+        for index, item in enumerate(items):
+            if not pooled[index]:
+                try:
+                    results[index] = guarded(item)
+                except Exception as exc:
+                    failures[index] = exc
+        for index, future in futures.items():
+            if future.exception() is None:
+                results[index] = future.result()
+            else:
+                failures[index] = future.exception()
+    finally:
+        # An interrupt lands here with items still queued; those in flight finish.
+        pool.shutdown(cancel_futures=True)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def write_durably(path: Path, text: str) -> None:
@@ -129,8 +194,10 @@ def build_manifest(
     disambiguated with parent-directory prefixes. ``title`` and
     ``description`` override the derived defaults when given.
 
-    Per-file hashing runs on a worker pool of one thread per processor; the
-    entry order is deterministic regardless of completion order.
+    Files of at least :data:`POOL_MIN_SIZE` bytes are hashed side by side,
+    one thread per processor the process may run on, and the smaller ones
+    on this thread (see :func:`map_files`); the entry order is the order
+    above regardless of completion order.
 
     Raises:
         MissingFileError: any referenced file is absent; lists every missing
@@ -157,12 +224,12 @@ def build_manifest(
         logger.warning("mesh file %s does not start with %s", mesh, MESH_HEADER.decode())
 
     names = _unique_names(unique)
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        digests = list(pool.map(checksum_file, unique))
+    sizes = [path.stat().st_size for path in unique]
+    digests = map_files(checksum_file, unique, sizes)
 
     entries = tuple(
-        ManifestEntry(path=path, name=name, size=path.stat().st_size, sha256=digest)
-        for path, name, digest in zip(unique, names, digests)
+        ManifestEntry(path=path, name=name, size=size, sha256=digest)
+        for path, name, size, digest in zip(unique, names, sizes, digests)
     )
 
     derived_title, derived_tags = derive_metadata(project)

@@ -1,8 +1,8 @@
 """In-memory reference implementation of the deposition protocol.
 
-The service is a plain state machine behind :meth:`MockService.handle_request`
-and can be driven two ways: directly, or over real HTTP via :class:`MockServer`,
-whose front-end calls the same handler. The ``geopub-mock`` command serves
+The service is a plain state machine behind :meth:`MockService.handle_request`,
+served over HTTP by :class:`MockServer`, whose front-end hands it each request
+with its body still on the connection. The ``geopub-mock`` command serves
 one built-in profile of :func:`geopub.config.default_profiles`, by default on
 the port of that profile's ``base_url``, until SIGINT or SIGTERM.
 
@@ -216,15 +216,15 @@ class MockService:
     # -- request handling
 
     def handle_request(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes | _BodyReader
+        self, method: str, path: str, headers: Mapping[str, str], body: _BodyReader
     ) -> tuple[int, dict]:
         """Serve one protocol request; returns (status, response document).
 
-        ``body`` is bytes or the HTTP front-end's :class:`_BodyReader`. A
-        request without valid credentials is answered 401, and then one that
-        names no endpoint or an unknown deposition 404, before any of its body
-        is read; so is an upload to a deposition that is no longer a draft,
-        400. An upload is hashed as it is read, in one buffer of at most
+        ``body`` is the HTTP front-end's :class:`_BodyReader`. A request
+        without valid credentials is answered 401, and then one that names no
+        endpoint or an unknown deposition 404, before any of its body is
+        read; so is an upload to a deposition that is no longer a draft, 400.
+        An upload is hashed as it is read, in one buffer of at most
         :data:`CHUNK_SIZE` bytes, and never held; what is left unread is the
         caller's to discard.
         """
@@ -257,20 +257,16 @@ class MockService:
                 return refusal
             # Hashing a large upload takes long; other requests must not wait for it.
             digest, size = hashlib.sha256(), 0
-            if isinstance(body, bytes):
-                digest.update(body)
-                size = len(body)
-            else:
-                # One buffer, sized to the upload, is filled again and again:
-                # a new 1 MB object per read would be a fresh mapping whose
-                # pages all fault in.
-                buffer = memoryview(_chunk_buffer(len(body)))
-                while count := body.readinto(buffer):
-                    digest.update(buffer[:count])
-                    size += count
+            # One buffer, sized to the upload, is filled again and again: a
+            # new 1 MB object per read would be a fresh mapping whose pages
+            # all fault in.
+            buffer = memoryview(_chunk_buffer(len(body)))
+            while count := body.readinto(buffer):
+                digest.update(buffer[:count])
+                size += count
             with self._lock:
                 return self._upload(record, headers, digest.hexdigest(), size)
-        document = _json_body(body if isinstance(body, bytes) else body.read())
+        document = _json_body(body.read())
         with self._lock:
             return getattr(self, f"_{op}")(record, document, parts.query)
 

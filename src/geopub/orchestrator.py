@@ -21,8 +21,6 @@ import json
 import logging
 import os
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,11 +31,11 @@ from .manifest import (
     ManifestEntry,
     PublicationManifest,
     build_manifest,
+    map_files,
     write_durably,
 )
 from .qgis_project import collect_datasources, parse_project
 from .repo_protocol import (
-    HTTP_BLOCKSIZE,
     BackendProfile,
     Deposition,
     DepositionState,
@@ -212,12 +210,12 @@ def publish_data(
 
     All files are checksummed before any network traffic, and after the
     client is made, so a profile it rejects costs no hashing. Files of at
-    least :data:`~geopub.repo_protocol.HTTP_BLOCKSIZE` bytes upload side by
-    side, one thread per processor, and the smaller ones in manifest order,
-    so the deposition may list the large files in another order. On an
-    upload failure no further upload starts, the draft deposition is
-    abandoned (its id is logged once for manual cleanup) and the error of
-    the earliest failed file in manifest order propagates.
+    least :data:`~geopub.manifest.POOL_MIN_SIZE` bytes upload side by side,
+    one thread per processor the process may run on, and the smaller ones in
+    manifest order, so the deposition may list the large files in another
+    order. On an upload failure no further upload starts, the draft
+    deposition is abandoned (its id is logged once for manual cleanup) and
+    the error of the earliest failed file in manifest order propagates.
     """
     client = RepositoryClient(profile)
     manifest = plan_data(
@@ -450,55 +448,14 @@ def _deposit(
 def _upload_all(
     client: RepositoryClient, deposition_id: int, entries: tuple[ManifestEntry, ...]
 ) -> None:
-    """Upload every entry to the draft.
-
-    Entries of at least :data:`HTTP_BLOCKSIZE` bytes upload side by side on a
-    pool of ``min(their number, os.cpu_count())`` threads, each upload on a
-    keep-alive connection of its own, while the smaller ones upload in manifest order on
-    this thread. A large upload spends its time in socket writes and hashing,
-    which release the interpreter lock; a small one is Python work under it
-    and would gain nothing from the pool. With fewer than two large entries
-    all upload in manifest order on this thread.
-
-    After a failure no further upload starts, those in flight finish, and the
-    error of the earliest failed entry in manifest order propagates.
-    """
-    failed = threading.Event()
+    """Upload every entry to the draft, each on a keep-alive connection of
+    the thread that uploads it. :func:`~geopub.manifest.map_files` runs the
+    large ones side by side, one thread per processor the process may run
+    on, and stops the rest after a failure."""
 
     def upload(entry: ManifestEntry) -> None:
-        if failed.is_set():
-            return
-        try:
-            with open(entry.path, "rb") as handle:
-                client.upload_file(deposition_id, entry, handle)
-        except BaseException:
-            # Set before a pooled upload's future completes, so that no
-            # worker starts another upload after it.
-            failed.set()
-            raise
+        with open(entry.path, "rb") as handle:
+            client.upload_file(deposition_id, entry, handle)
         logger.info("uploaded %s (%d bytes)", entry.name, entry.size)
 
-    large = {index for index, entry in enumerate(entries) if entry.size >= HTTP_BLOCKSIZE}
-    if len(large) < 2:
-        for entry in entries:
-            upload(entry)
-        return
-
-    failures: dict[int, BaseException] = {}
-    pool = ThreadPoolExecutor(max_workers=min(len(large), os.cpu_count() or 1))
-    try:
-        pooled = {pool.submit(upload, entries[index]): index for index in sorted(large)}
-        for index, entry in enumerate(entries):
-            if index not in large:
-                try:
-                    upload(entry)
-                except Exception as exc:
-                    failures[index] = exc
-        for future, index in pooled.items():
-            if future.exception() is not None:
-                failures[index] = future.exception()
-    finally:
-        # An interrupt lands here with uploads still queued; those in flight finish.
-        pool.shutdown(cancel_futures=True)
-    if failures:
-        raise failures[min(failures)]
+    map_files(upload, entries, [entry.size for entry in entries])

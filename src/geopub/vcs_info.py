@@ -143,11 +143,11 @@ def stream_files(
     Each file is read once, its size taken from ``os.fstat`` on the open
     handle, with ``readinto`` straight into a :data:`BATCH`-byte buffer, and
     ``sink`` gets each full buffer and then the last, shorter one; it must
-    not keep them. On more than one processor, once the stream fills its
-    first batch, ``sink`` runs on one worker thread: it takes one buffer
-    while this thread fills the other, so at most two batches are held. A
-    stream under one batch, or one on a single processor, runs ``sink`` on
-    this thread.
+    not keep them. When the process may run on more than one processor,
+    once the stream fills its first batch, ``sink`` runs on one worker
+    thread: it takes one buffer while this thread fills the other, so at
+    most two batches are held. A stream under one batch, or one of a process
+    on a single processor, runs ``sink`` on this thread.
 
     Raises:
         OSError: a file shrank while it was read, naming it and its expected
@@ -176,8 +176,8 @@ def stream_files(
 
 class _Batches:
     """A stream cut into :data:`BATCH`-byte batches, each handed to a sink as
-    it fills: on one worker thread from the first full batch on when there
-    is more than one processor, else on this thread."""
+    it fills: on one worker thread from the first full batch on when the
+    process may run on more than one processor, else on this thread."""
 
     def __init__(self, sink: Callable[[memoryview], object]):
         self._sink = sink
@@ -229,7 +229,7 @@ class _Batches:
             self._worker.shutdown()
 
     def _ship(self) -> None:
-        if not self._shipped and (os.cpu_count() or 1) > 1:
+        if not self._shipped and _usable_processors() > 1:
             self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="geopub-stream")
             self._spare = memoryview(bytearray(BATCH))
         if self._worker is None:
@@ -245,6 +245,15 @@ class _Batches:
     def _wait(self) -> None:
         if self._in_flight is not None:
             self._in_flight.result()
+
+
+def _usable_processors() -> int:
+    """The processors this process may run on: its affinity set where the
+    platform has one, else the machine's processors (the count Python 3.13
+    gives a process)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[str, str], ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from geopub import repo_protocol
-from geopub.mock_service import MockServer, MockService, ServiceConfig
+from geopub.mock_service import MockServer, MockService, ServiceConfig, _BodyReader
 from geopub.repo_protocol import BackendProfile, RepositoryClient
 
 
@@ -24,6 +25,12 @@ settings.register_profile("ci", max_examples=500)
 def fast_retry_backoff(monkeypatch):
     """Retried GETs wait 1 ms instead of the policy's 250 ms."""
     monkeypatch.setattr(repo_protocol, "RETRY_BACKOFF_SECONDS", 0.001)
+
+
+def body_reader(data: bytes) -> _BodyReader:
+    """A request body of ``data``, as the mock's HTTP front-end hands it to
+    :meth:`MockService.handle_request`."""
+    return _BodyReader(io.BytesIO(data), len(data))
 
 
 def project_xml(layers: list[tuple[str, str]], title: str = "") -> str:

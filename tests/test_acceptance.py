@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import OrkneyTree
+from conftest import OrkneyTree, body_reader
 from fixture_projects import build_fixture_projects
 from reference_scan import scan_datasources
 from test_cli import cli_env
@@ -271,7 +271,7 @@ def test_4_quota_enforcement(make_backend):
             "X-File-Name": "big.bin",
             "X-File-SHA256": digest,
         },
-        content,
+        body_reader(content),
     )
     assert (status, document) == (413, {"error": "quota"})
     entry = ManifestEntry(path=None, name="big2.bin", size=len(content), sha256=digest)

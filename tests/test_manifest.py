@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from conftest import write_project
+from test_orchestrator import MB, _grid_project
 
+from geopub import manifest, vcs_info
 from geopub.errors import MissingFileError
 from geopub.manifest import (
     build_manifest,
     checksum_file,
     derive_metadata,
     manifest_to_json,
+    map_files,
 )
 from geopub.qgis_project import collect_datasources, parse_project
 
@@ -178,6 +185,112 @@ class TestBuildManifest:
         with caplog.at_level(logging.WARNING, logger="geopub.manifest"):
             _orkney_manifest(orkney)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _grid_manifest(root: Path, sizes: list[int]):
+    project = parse_project(_grid_project(root, sizes))
+    return build_manifest(project, collect_datasources(project))
+
+
+class TestHashingPool:
+    """Files of at least 1 MiB are hashed side by side, one thread per
+    processor the process may run on; smaller ones on the calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_processors(self, monkeypatch):
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 2)
+
+    def test_large_files_hashed_side_by_side(self, tmp_path, monkeypatch):
+        lock, overlapped = threading.Lock(), threading.Event()
+        in_flight = [0]
+        checksum = manifest.checksum_file
+
+        def overlapping_checksum(path):
+            if Path(path).stat().st_size < MB:
+                return checksum(path)
+            with lock:
+                in_flight[0] += 1
+                if in_flight[0] >= 2:
+                    overlapped.set()
+            try:
+                # Hold the first large file until a second one is hashed; one
+                # at a time, none ever is.
+                overlapped.wait(timeout=5)
+                return checksum(path)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(manifest, "checksum_file", overlapping_checksum)
+        built = _grid_manifest(tmp_path, [2 * MB] * 3)
+        assert overlapped.is_set(), "no two large files were hashed at once"
+        assert [e.sha256 for e in built.entries] == [
+            hashlib.sha256(e.path.read_bytes()).hexdigest() for e in built.entries
+        ]
+
+    def test_small_files_hashed_on_the_calling_thread(self, tmp_path, monkeypatch):
+        hashed_on = {}
+        checksum = manifest.checksum_file
+
+        def recording_checksum(path):
+            hashed_on[Path(path).name] = threading.current_thread()
+            return checksum(path)
+
+        monkeypatch.setattr(manifest, "checksum_file", recording_checksum)
+        built = _grid_manifest(tmp_path, [10, 2 * MB, MB - 1, MB, 30])
+        caller = threading.current_thread()
+        assert {e.name: hashed_on[e.name] is caller for e in built.entries} == {
+            "grids.qgs": True,
+            "grid0.nc": True,
+            "grid1.nc": False,
+            "grid2.nc": True,
+            "grid3.nc": False,
+            "grid4.nc": True,
+        }
+        assert [e.sha256 for e in built.entries] == [
+            hashlib.sha256(e.path.read_bytes()).hexdigest() for e in built.entries
+        ]
+
+    def test_results_in_item_order_under_a_short_switch_interval(self, monkeypatch):
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 4)
+        sizes = [MB, 10, 2 * MB, 20, MB + 1, 3 * MB, 30, MB] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_files(lambda item: item * item, range(len(sizes)), sizes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [item * item for item in range(len(sizes))]
+
+    def test_failed_large_item_stops_the_rest(self):
+        started = []
+
+        def failing(item):
+            started.append(item)
+            raise ValueError(item)
+
+        with pytest.raises(ValueError) as raised:
+            map_files(failing, range(7), [MB] * 6 + [10])
+        # Each thread that works (the calling one and two pool threads)
+        # starts at most one item: after a failure no further item starts.
+        assert len(started) <= 3
+        assert raised.value.args == (min(started),)
+
+    def test_earliest_failed_item_in_order_propagates(self):
+        started = []
+
+        def work(item):
+            started.append(item)
+            if item in (1, 2):
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError) as raised:
+            map_files(work, range(4), [MB, 10, MB, 10])
+        # Item 1 fails on this thread, whatever item 2 does meanwhile on the
+        # pool; item 3, after it on this thread, never starts.
+        assert raised.value.args == (1,)
+        assert 3 not in started
 
 
 class TestManifestJson:

@@ -17,6 +17,8 @@ from urllib.parse import urlsplit
 import pytest
 from click.testing import CliRunner
 
+from conftest import body_reader
+
 from geopub import mock_service
 from geopub.errors import BindError, NetworkError
 from geopub.manifest import ManifestEntry
@@ -31,7 +33,7 @@ def direct_sender(service: MockService):
     def send(method, path, headers=None, body=b""):
         merged = dict(AUTH)
         merged.update(headers or {})
-        return service.handle_request(method, path, merged, body)
+        return service.handle_request(method, path, merged, body_reader(body))
 
     return send
 
@@ -344,24 +346,33 @@ class TestAuth:
         service = MockService()
         headers = {} if header is None else {"Authorization": header}
         status, document = service.handle_request(
-            "POST", "/api/v1/depositions", headers, _create_body()
+            "POST", "/api/v1/depositions", headers, body_reader(_create_body())
         )
         assert (status, document) == (401, {"error": "auth"})
 
     def test_any_non_empty_token_accepted_by_default(self):
         service = MockService()
         status, _ = service.handle_request(
-            "POST", "/api/v1/depositions", {"Authorization": "token whatever"}, _create_body()
+            "POST",
+            "/api/v1/depositions",
+            {"Authorization": "token whatever"},
+            body_reader(_create_body()),
         )
         assert status == 201
 
     def test_strict_token_mode(self):
         service = MockService(ServiceConfig(required_token="sesame"))
         ok, _ = service.handle_request(
-            "POST", "/api/v1/depositions", {"Authorization": "token sesame"}, _create_body()
+            "POST",
+            "/api/v1/depositions",
+            {"Authorization": "token sesame"},
+            body_reader(_create_body()),
         )
         bad, _ = service.handle_request(
-            "POST", "/api/v1/depositions", {"Authorization": "token nope"}, _create_body()
+            "POST",
+            "/api/v1/depositions",
+            {"Authorization": "token nope"},
+            body_reader(_create_body()),
         )
         assert (ok, bad) == (201, 401)
 

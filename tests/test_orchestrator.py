@@ -205,11 +205,12 @@ def _wait_for_thread_count(expected: int, timeout: float = 5.0) -> int:
 
 class TestUploadPool:
     """Files of at least 1 MiB upload side by side, one thread per
-    processor; smaller ones upload in manifest order on the calling thread."""
+    processor the process may run on; smaller ones upload in manifest order
+    on the calling thread."""
 
     @pytest.fixture(autouse=True)
     def two_processors(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 2)
 
     def test_large_files_upload_side_by_side(self, tmp_path, backend, monkeypatch):
         project = _grid_project(tmp_path, [2 * MB] * 3)
@@ -243,7 +244,7 @@ class TestUploadPool:
         )
 
     def test_more_workers_than_cores_store_each_file_once(self, tmp_path, backend, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 4)
         project = _grid_project(tmp_path, [MB, 10, 2 * MB, 20, MB + 1, 3 * MB, 30, MB])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -264,7 +265,7 @@ class TestUploadPool:
     ):
         if large:
             orkney.bathymetry.write_bytes(b"CDF\x01" * (MB // 2))
-        pools = _count_calls(monkeypatch, orchestrator, "ThreadPoolExecutor")
+        pools = _count_calls(monkeypatch, manifest, "ThreadPoolExecutor")
         result = publish_data(backend.profile, orkney.project, orkney.mesh)
         names = [e.name for e in plan_data(orkney.project, orkney.mesh).entries]
         record = backend.service.deposition_record(result.publication_id)
@@ -881,15 +882,27 @@ ARCHIVE_BATCH_TREES = {
 
 @pytest.fixture
 def two_processors(monkeypatch) -> None:
-    """Report two processors, so a stream past one batch hands its batches
-    to a worker thread on any host."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """Report two processors the process may run on, so a stream past one
+    batch hands its batches to a worker thread on any host."""
+    monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 2)
 
 
 @pytest.fixture
 def thread_starts(monkeypatch) -> list:
-    """Each thread started from then on, as a one-tuple."""
-    return _count_calls(monkeypatch, threading.Thread, "start")
+    """Each thread the test's own thread starts from then on, as a
+    one-tuple. A loopback backend's handler threads, which its serving
+    thread starts, are not counted."""
+    caller = threading.current_thread()
+    starts = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        if threading.current_thread() is caller:
+            starts.append((thread,))
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return starts
 
 
 class _FullDisk:
@@ -1005,7 +1018,7 @@ class TestArchivePipeline:
         assert thread_starts == []
 
     def test_one_processor_starts_no_thread(self, tmp_path, monkeypatch, thread_starts):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 1)
         tree = tmp_path / "meshtool"
         _write_files(tree, BATCH_TREES["file-over-two-batches"]())
         version = detect_version(tree)
@@ -1013,6 +1026,46 @@ class TestArchivePipeline:
         assert thread_starts == []
         assert version.id == _reference_tree_hash(tree)
         assert archive.read_bytes() == _tarfile_archive(tree)
+
+
+class TestThreadBudget:
+    """The threads a publication starts: none for files under 1 MiB, and
+    none at all on one processor."""
+
+    def test_data_publication_of_small_files_starts_no_thread(
+        self, orkney, backend, two_processors, thread_starts
+    ):
+        thread_starts.clear()
+        result = publish_data(backend.profile, orkney.project, orkney.mesh)
+        assert thread_starts == []
+        entries = plan_data(orkney.project, orkney.mesh).entries
+        assert backend.service.request_count == len(entries) + 2
+        record = backend.service.deposition_record(result.publication_id)
+        assert [(f["name"], f["sha256"]) for f in record["files"]] == [
+            (e.name, e.sha256) for e in entries
+        ]
+
+    def test_one_processor_starts_no_thread_at_any_site(
+        self, tmp_path, backend, monkeypatch, thread_starts
+    ):
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: 1)
+        # Two files of 2 MiB each: a hashing pool and an upload pool on more
+        # than one processor, and a stream past one batch for the worker.
+        (tmp_path / "data").mkdir()
+        project = _grid_project(tmp_path / "data", [2 * MB] * 2)
+        tree = tmp_path / "meshtool"
+        _write_files(tree, [(f"grid{i}.bin", bytes([i]) * 2 * MB) for i in range(2)])
+        thread_starts.clear()
+        data = publish_data(backend.profile, project)
+        software = publish_software(backend.profile, tree)
+        assert thread_starts == []
+        entries = plan_data(project).entries
+        record = backend.service.deposition_record(data.publication_id)
+        assert [(f["name"], f["sha256"]) for f in record["files"]] == [
+            (e.name, e.sha256) for e in entries
+        ]
+        assert software.reused is False
+        assert software.version.id == _reference_tree_hash(tree)
 
 
 def _id_and_archive(tree: Path, dest_dir: Path) -> tuple[str, bytes]:

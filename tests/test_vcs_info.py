@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geopub import vcs_info
 from geopub.errors import AuthorsFormatError
 from geopub.vcs_info import (
     BATCH,
@@ -301,7 +302,7 @@ class TestMultiBatchStream:
 
     @pytest.mark.parametrize("processors", [1, 2])
     def test_sink_gets_whole_batches_then_the_rest(self, tmp_path, monkeypatch, processors):
-        monkeypatch.setattr(os, "cpu_count", lambda: processors)
+        monkeypatch.setattr(vcs_info, "_usable_processors", lambda: processors)
         files = [_fill_to(2 * BATCH, "a.bin")]
         _write_files(tmp_path, files)
         sizes = []
