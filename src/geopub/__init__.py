@@ -37,7 +37,6 @@ from .orchestrator import (
     DoiCache,
     DoiCacheRecord,
     SoftwarePublication,
-    build_source_archive,
     publish_data,
     publish_software,
 )
@@ -61,6 +60,7 @@ from .vcs_info import (
     AuthorRef,
     SourceVersion,
     VersionKind,
+    build_source_archive,
     detect_version,
     parse_authors,
 )

@@ -8,10 +8,12 @@ references, but a publication must be complete.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
 import os
+import stat
 import tempfile
 import threading
 from collections import Counter
@@ -36,6 +38,10 @@ _Result = TypeVar("_Result")
 
 #: Header line that opens a Gmsh mesh file.
 MESH_HEADER = b"$MeshFormat"
+
+#: The ``os.stat`` errors for which :meth:`Path.is_file` calls a path no
+#: file, rather than raise them.
+_ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
 
 
 @dataclass(frozen=True)
@@ -216,7 +222,8 @@ def build_manifest(
     # a layer); keep the first occurrence.
     unique = list(dict.fromkeys(paths))
 
-    missing = [path for path in unique if not path.is_file()]
+    sizes = [_regular_file_size(path) for path in unique]
+    missing = [path for path, size in zip(unique, sizes) if size is None]
     if missing:
         raise MissingFileError(missing)
 
@@ -224,7 +231,6 @@ def build_manifest(
         logger.warning("mesh file %s does not start with %s", mesh, MESH_HEADER.decode())
 
     names = _unique_names(unique)
-    sizes = [path.stat().st_size for path in unique]
     digests = map_files(checksum_file, unique, sizes)
 
     entries = tuple(
@@ -257,6 +263,20 @@ def manifest_to_json(manifest: PublicationManifest) -> str:
         },
         indent=2,
     )
+
+
+def _regular_file_size(path: Path) -> int | None:
+    """The size of ``path``, from one ``os.stat``; None where
+    :meth:`Path.is_file` is false for it."""
+    try:
+        status = os.stat(path)
+    except OSError as exc:
+        if exc.errno in _ABSENT_ERRNOS:
+            return None
+        raise
+    except ValueError:  # a name no file system can hold
+        return None
+    return status.st_size if stat.S_ISREG(status.st_mode) else None
 
 
 def _has_mesh_header(path: Path) -> bool:

@@ -23,7 +23,7 @@ from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import BinaryIO, Mapping
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 import click
 
@@ -306,7 +306,7 @@ class MockService:
     ) -> tuple[int, dict]:
         if refusal := _not_a_draft(record):
             return refusal
-        name = _header(headers, "X-File-Name")
+        name = unquote(_header(headers, "X-File-Name") or "", errors="surrogateescape")
         declared = _header(headers, "X-File-SHA256")
         if not name:
             return 400, {"error": "validation", "message": "X-File-Name header required"}

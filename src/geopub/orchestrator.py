@@ -7,9 +7,9 @@ tag included, with no network traffic (the dry-run preview);
 Software publication: detect the exact source version, look for an existing
 publication of it first (server-side search when the backend supports it,
 else the local DOI cache), and only create a new deposition when none is
-found. It holds a byte-deterministic tar archive of the files that
-:mod:`.vcs_info` lists for the version: the tracked files of a commit, or
-every file of a plain tree.
+found. It holds the version's source archive, which :mod:`.vcs_info` writes
+beside the id it must equal. The DOI cache (:class:`DoiCache`) maps a
+version to its publication on a backend without search.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .repo_protocol import (
     PublicationResult,
     RepositoryClient,
 )
-from .vcs_info import SourceVersion, detect_version, parse_authors, stream_files
+from .vcs_info import SourceVersion, build_source_archive, detect_version, parse_authors
 
 logger = logging.getLogger(__name__)
 
@@ -334,87 +334,6 @@ def _find_published(
         return None
     logger.info("version found in DOI cache as %s; reusing", record.doi)
     return deposition
-
-
-#: Tar block and record sizes; a record is the 20 blocks GNU tar writes at a time.
-_BLOCK = 512
-_RECORD = 20 * _BLOCK
-
-
-def build_source_archive(
-    version: SourceVersion, dest_dir: Path, digest: hashlib._Hash | None = None
-) -> Path:
-    """Pack a version's files into a byte-deterministic uncompressed tar.
-
-    Members are the files of :meth:`SourceVersion.files`, in that order,
-    rooted under the tree's directory name, with zeroed timestamps and
-    normalized ownership/modes, so the same files always yield the same bytes.
-    The bytes are those of ``tarfile.GNU_FORMAT``: a name longer than 100
-    bytes gets a ``././@LongLink`` header first, and the archive ends on a
-    10240-byte record. Each file is read once (:func:`.vcs_info.stream_files`),
-    and every byte written is also fed to ``digest`` (a :mod:`hashlib`
-    object) when one is given. On more than one processor, once the archive
-    passes 1 MiB, one worker thread writes and hashes it while the next MiB
-    is read, and at most two 1 MiB buffers are held.
-
-    Raises:
-        FileNotFoundError: git tracks no file under a commit's directory.
-        OSError: a file shrank while it was read, or the archive could not
-            be written; the archive file is closed first.
-    """
-    source_dir = version.source_dir
-    dest_dir.mkdir(parents=True, exist_ok=True)
-    archive_path = dest_dir / f"{source_dir.name}-{version.id[:12]}.tar"
-    root = os.fsencode(source_dir.name) + b"/"
-
-    def header(relative: str, status: os.stat_result) -> bytes:
-        mode = 0o755 if status.st_mode & 0o100 else 0o644
-        return _member_header(root + os.fsencode(relative), mode, status.st_size)
-
-    with open(archive_path, "wb") as tar:
-
-        def sink(data: memoryview | bytes) -> None:
-            tar.write(data)
-            if digest is not None:
-                digest.update(data)
-
-        length = stream_files(version.files(), header, sink, block=_BLOCK)
-        # Two zero blocks end the archive, padded to a whole record.
-        sink(bytes(2 * _BLOCK + -(length + 2 * _BLOCK) % _RECORD))
-    return archive_path
-
-
-def _member_header(name: bytes, mode: int, size: int) -> bytes:
-    """The header block(s) of a regular file, as ``tarfile.GNU_FORMAT``
-    writes them."""
-    if len(name) <= 100:
-        return _header_block(name, mode, size, b"0")
-    long_name = name + b"\0"
-    return (
-        _header_block(b"././@LongLink", 0, len(long_name), b"L")
-        + long_name
-        + bytes(-len(long_name) % _BLOCK)
-        + _header_block(name[:100], mode, size, b"0")
-    )
-
-
-def _header_block(name: bytes, mode: int, size: int, kind: bytes) -> bytes:
-    """One 512-byte header: owner, group and mtime 0, no link or user names,
-    the GNU magic; a size of 8 GiB or more in GNU base-256."""
-    size_field = b"%011o\0" % size if size < 8**11 else b"\x80" + size.to_bytes(11, "big")
-    block = b"".join((
-        name.ljust(100, b"\0"),
-        b"%07o\0" % mode,
-        b"0000000\0" * 2,  # uid, gid
-        size_field,
-        b"00000000000\0",  # mtime
-        b" " * 8,  # the checksum field counts as spaces in its own sum
-        kind,
-        bytes(100),  # link name
-        b"ustar  \0",
-        bytes(_BLOCK - 265),  # user, group, device numbers, prefix, padding
-    ))
-    return block[:148] + b"%06o\0" % sum(block) + block[155:]
 
 
 def _deposit(

@@ -21,7 +21,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping, TypeVar
 from urllib.parse import quote, unquote, urlsplit
 
 from .errors import CapabilityNotSupportedError, ConfigError, NetworkError, ProtocolError
@@ -29,6 +29,8 @@ from .manifest import DepositionMeta, ManifestEntry
 from .vcs_info import AuthorRef
 
 logger = logging.getLogger(__name__)
+
+_Parsed = TypeVar("_Parsed")
 
 #: Retries for idempotent GETs, on top of the initial attempt.
 GET_RETRIES = 3
@@ -268,6 +270,13 @@ def _remote_file(row: dict) -> RemoteFile:
     )
 
 
+def _publication(document: dict) -> PublicationResult:
+    """The status document that publish and make_public return."""
+    return PublicationResult(
+        publication_id=document["id"], doi=document["doi"], doi_active=document["doi_active"]
+    )
+
+
 class RepositoryClient:
     """Client handle for one backend profile.
 
@@ -295,7 +304,7 @@ class RepositoryClient:
             ],
             "private": private,
         }
-        return self._deposition(self._expect(self._request("create", json_body=payload), 201))
+        return self._call("create", 201, self._deposition, json_body=payload)
 
     def upload_file(
         self, deposition_id: int, entry: ManifestEntry, content: bytes | IO[bytes]
@@ -303,33 +312,32 @@ class RepositoryClient:
         """Upload one file to a draft deposition.
 
         The server verifies the declared digest against the received bytes
-        and enforces per-file and total quotas.
+        and enforces per-file and total quotas. The name is sent
+        percent-encoded, from the bytes the file system holds for it.
         """
-        document = self._expect(
-            self._request(
-                "upload",
-                deposition_id,
-                headers={
-                    "X-File-Name": entry.name,
-                    "X-File-SHA256": entry.sha256,
-                    "Content-Type": "application/octet-stream",
-                },
-                body=content,
-            ),
+        return self._call(
+            "upload",
             201,
+            _remote_file,
+            deposition_id,
+            headers={
+                "X-File-Name": quote(entry.name, safe="", errors="surrogateescape"),
+                "X-File-SHA256": entry.sha256,
+                "Content-Type": "application/octet-stream",
+            },
+            body=content,
         )
-        return _remote_file(document)
 
     def publish_deposition(self, deposition_id: int, private: bool = False) -> PublicationResult:
         """Publish a draft: public (DOI goes live) or private (DOI stays
         reserved)."""
-        return self._publication(
-            self._request("publish", deposition_id, json_body={"private": private})
+        return self._call(
+            "publish", 200, _publication, deposition_id, json_body={"private": private}
         )
 
     def make_public(self, deposition_id: int) -> PublicationResult:
         """Flip a private deposition to public; the DOI string is unchanged."""
-        return self._publication(self._request("make_public", deposition_id))
+        return self._call("make_public", 200, _publication, deposition_id)
 
     def search_by_tag(self, tag: str) -> list[Deposition]:
         """Find published depositions carrying ``tag`` exactly.
@@ -341,16 +349,41 @@ class RepositoryClient:
             raise CapabilityNotSupportedError(
                 f"backend {self.profile.name!r} does not support searching"
             )
-        document = self._expect(
-            self._request("search", query=f"?tag={quote(tag, safe='')}"), 200
+        return self._call(
+            "search",
+            200,
+            lambda document: [self._deposition(row) for row in document["results"]],
+            query=f"?tag={quote(tag, safe='')}",
         )
-        return [self._deposition(row) for row in document["results"]]
 
     def get_deposition(self, deposition_id: int) -> Deposition:
         """Fetch the full server-side record, files included."""
-        return self._deposition(self._expect(self._request("get", deposition_id), 200))
+        return self._call("get", 200, self._deposition, deposition_id)
 
     # -- plumbing
+
+    def _call(
+        self,
+        op: str,
+        expected_status: int,
+        parse: Callable[[dict], _Parsed],
+        deposition_id: int | None = None,
+        **request,
+    ) -> _Parsed:
+        """``parse`` of the document that ``op`` answers with its expected status.
+
+        Raises:
+            ProtocolError: the answer has another status or is not JSON, or
+                its document lacks a field ``parse`` reads or holds one of
+                another type; naming the operation.
+        """
+        document = self._expect(self._request(op, deposition_id, **request), expected_status)
+        try:
+            return parse(document)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"malformed {op} response: {type(exc).__name__}: {exc}", status=expected_status
+            ) from exc
 
     def _request(
         self,
@@ -415,13 +448,6 @@ class RepositoryClient:
             files=tuple(_remote_file(row) for row in document["files"]),
         )
 
-    def _publication(self, response: TransportResponse) -> PublicationResult:
-        """Parse the status document that publish and make_public return."""
-        document = self._expect(response, 200)
-        return PublicationResult(
-            publication_id=document["id"], doi=document["doi"], doi_active=document["doi_active"]
-        )
-
     def _expect(self, response: TransportResponse, expected_status: int) -> dict:
         if response.status == expected_status:
             return response.json()
@@ -429,6 +455,8 @@ class RepositoryClient:
         try:
             detail = response.json()
         except ProtocolError:
+            detail = None
+        if not isinstance(detail, dict):  # not JSON, or not an object
             detail = {}
         message = detail.get("message") or detail.get("error") or response.body.decode(
             "utf-8", "replace"

@@ -1,11 +1,12 @@
-"""Version identity of a software source tree, its files, and its authors.
+"""A software source tree's version as bytes: its id, files and archive.
 
 A clean git working tree is identified by its head commit. Any other tree is
 identified by a digest of exactly what its source archive holds: the root
 directory's name and, per file, its path, owner-exec bit, size and bytes;
 for a dirty working tree, those of its tracked files. :func:`_list_files`
-alone lists a version's files, and :func:`stream_files` alone reads them, for
-the id and for the source archive.
+alone lists a version's files, as raw bytes, and :func:`stream_files` alone
+reads them, for the id and for the archive (:func:`build_source_archive`).
+The AUTHORS file of a tree is parsed here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import os
 import re
 import stat
 import subprocess
-import sys
 from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,16 +29,14 @@ logger = logging.getLogger(__name__)
 
 #: Directory names that hold version-control metadata, never part of the tree
 #: content identity.
-VCS_METADATA_DIRS = frozenset({".git", ".hg", ".svn"})
+VCS_METADATA_DIRS = frozenset({b".git", b".hg", b".svn"})
 
 #: Bytes of one batch of a file stream (:func:`stream_files`).
 BATCH = 1024 * 1024
 
-#: The codec of :func:`os.fsencode`, which gives back the bytes of a name as
-#: the file system holds them. ``str.encode`` with it skips the wrapper's
-#: cost, paid twice per file on every plain-tree reuse.
-_FS_ENCODING = sys.getfilesystemencoding()
-_FS_ERRORS = sys.getfilesystemencodeerrors()
+#: Tar block and record sizes; a record is the 20 blocks GNU tar writes at a time.
+_BLOCK = 512
+_RECORD = 20 * _BLOCK
 
 
 class VersionKind(Enum):
@@ -54,16 +52,19 @@ class SourceVersion:
     id: str
     dirty: bool
     source_dir: Path
-    #: (path, posix path under ``source_dir``) of each file, if detect_version listed them.
-    listing: tuple[tuple[str, str], ...] | None = field(default=None, compare=False, repr=False)
+    #: (path, posix path under ``source_dir``) as bytes, if detect_version listed them.
+    listing: tuple[tuple[bytes, bytes], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def tag(self) -> str:
         """Deposition tag identifying this exact version."""
         return f"version:{self.kind.value}:{self.id}"
 
-    def files(self) -> tuple[tuple[str, str], ...]:
-        """The files of this version; a clean commit's are listed on each call."""
+    def files(self) -> tuple[tuple[bytes, bytes], ...]:
+        """The files of this version, as raw bytes; a clean commit's are
+        listed on each call."""
         if self.listing is None:
             return _list_files(self.source_dir, tracked=self.kind is VersionKind.COMMIT)
         return self.listing
@@ -101,53 +102,125 @@ def detect_version(source_dir: str | os.PathLike) -> SourceVersion:
     files = _list_files(directory, tracked=dirty)
     return SourceVersion(
         kind=VersionKind.TREE_HASH,
-        id=_tree_digest(directory.name, files),
+        id=_tree_digest(os.fsencode(directory.name), files),
         dirty=dirty,
         source_dir=directory,
         listing=files,
     )
 
 
-def _tree_digest(root_name: str, files: tuple[tuple[str, str], ...]) -> str:
+def _tree_digest(root: bytes, files: tuple[tuple[bytes, bytes], ...]) -> str:
     """SHA-256 of exactly the inputs of the source archive: the root
-    directory's name and a NUL byte, then per file in list order its
+    directory's name and a NUL byte, then per file in list order its raw
     relative path, a NUL byte, ``b"%d %d\\0" % (owner-exec bit, size)`` and
-    its bytes. A path's bytes are those of its name on the file system
-    (:func:`os.fsencode`); the size delimits the content, so no two trees
-    give the same input. The files are read by :func:`stream_files`.
+    its bytes, as :func:`stream_files` reads them. The size delimits the
+    content, so no two trees give the same input.
 
     Raises:
         OSError: a file shrank while it was read.
     """
-    digest = hashlib.sha256(root_name.encode(_FS_ENCODING, _FS_ERRORS) + b"\0")
+    digest = hashlib.sha256(root + b"\0")
 
-    def header(relative: str, status: os.stat_result) -> bytes:
-        name = relative.encode(_FS_ENCODING, _FS_ERRORS)
-        return name + b"\0%d %d\0" % (status.st_mode >> 6 & 1, status.st_size)
+    def header(name: bytes, executable: bool, size: int) -> bytes:
+        return name + b"\0%d %d\0" % (executable, size)
 
     stream_files(files, header, digest.update)
     return digest.hexdigest()
 
 
+def build_source_archive(
+    version: SourceVersion, dest_dir: Path, digest: hashlib._Hash | None = None
+) -> Path:
+    """Pack a version's files into a byte-deterministic uncompressed tar.
+
+    Members are the files of :meth:`SourceVersion.files`, in that order,
+    rooted under the tree's directory name, with zeroed timestamps and
+    normalized ownership/modes, so the same files always yield the same bytes.
+    The bytes are those of ``tarfile.GNU_FORMAT``: a name longer than 100
+    bytes gets a ``././@LongLink`` header first, and the archive ends on a
+    10240-byte record. Each file is read once, by :func:`stream_files` (on
+    more than one processor, its worker writes and hashes the archive while
+    the next MiB is read), and every byte written is also fed to ``digest``
+    (a :mod:`hashlib` object) when one is given.
+
+    Raises:
+        FileNotFoundError: git tracks no file under a commit's directory.
+        OSError: a file shrank while it was read, or the archive could not
+            be written; the archive file is closed first.
+    """
+    source_dir = version.source_dir
+    dest_dir.mkdir(parents=True, exist_ok=True)
+    archive_path = dest_dir / f"{source_dir.name}-{version.id[:12]}.tar"
+    root = os.fsencode(source_dir.name) + b"/"
+
+    def header(name: bytes, executable: bool, size: int) -> bytes:
+        return _member_header(root + name, 0o755 if executable else 0o644, size)
+
+    with open(archive_path, "wb") as tar:
+
+        def sink(data: memoryview | bytes) -> None:
+            tar.write(data)
+            if digest is not None:
+                digest.update(data)
+
+        length = stream_files(version.files(), header, sink, block=_BLOCK)
+        # Two zero blocks end the archive, padded to a whole record.
+        sink(bytes(2 * _BLOCK + -(length + 2 * _BLOCK) % _RECORD))
+    return archive_path
+
+
+def _member_header(name: bytes, mode: int, size: int) -> bytes:
+    """The header block(s) of a regular file, as ``tarfile.GNU_FORMAT``
+    writes them."""
+    if len(name) <= 100:
+        return _header_block(name, mode, size, b"0")
+    long_name = name + b"\0"
+    return (
+        _header_block(b"././@LongLink", 0, len(long_name), b"L")
+        + long_name
+        + bytes(-len(long_name) % _BLOCK)
+        + _header_block(name[:100], mode, size, b"0")
+    )
+
+
+def _header_block(name: bytes, mode: int, size: int, kind: bytes) -> bytes:
+    """One 512-byte header: owner, group and mtime 0, no link or user names,
+    the GNU magic; a size of 8 GiB or more in GNU base-256."""
+    size_field = b"%011o\0" % size if size < 8**11 else b"\x80" + size.to_bytes(11, "big")
+    block = b"".join((
+        name.ljust(100, b"\0"),
+        b"%07o\0" % mode,
+        b"0000000\0" * 2,  # uid, gid
+        size_field,
+        b"00000000000\0",  # mtime
+        b" " * 8,  # the checksum field counts as spaces in its own sum
+        kind,
+        bytes(100),  # link name
+        b"ustar  \0",
+        bytes(_BLOCK - 265),  # user, group, device numbers, prefix, padding
+    ))
+    return block[:148] + b"%06o\0" % sum(block) + block[155:]
+
+
 def stream_files(
-    files: Iterable[tuple[str, str]],
-    header: Callable[[str, os.stat_result], bytes],
+    files: Iterable[tuple[bytes, bytes]],
+    header: Callable[[bytes, bool, int], bytes],
     sink: Callable[[memoryview], object],
     *,
     block: int = 1,
 ) -> int:
-    """Feed ``sink`` the stream of ``files``, each a (path, relative path):
-    per file ``header(relative path, its stat)``, then its bytes, padded
-    with zero bytes to a multiple of ``block``. Return the stream's length.
+    """Feed ``sink`` the stream of ``files``, each a (path, name) as bytes: per
+    file ``header(name, owner-exec bit, size)``, then its bytes, padded with
+    zero bytes to a multiple of ``block``. Return the stream's length.
 
-    Each file is read once, its size taken from ``os.fstat`` on the open
-    handle, with ``readinto`` straight into a :data:`BATCH`-byte buffer, and
-    ``sink`` gets each full buffer and then the last, shorter one; it must
-    not keep them. When the process may run on more than one processor,
-    once the stream fills its first batch, ``sink`` runs on one worker
-    thread: it takes one buffer while this thread fills the other, so at
-    most two batches are held. A stream under one batch, or one of a process
-    on a single processor, runs ``sink`` on this thread.
+    Each file is read once, its exec bit and size taken from ``os.fstat`` on
+    the open handle, with ``readinto`` straight into a :data:`BATCH`-byte
+    buffer, and ``sink`` gets each full buffer and then the last, shorter
+    one; it must not keep them. When the process may run on more than one
+    processor, once the stream fills its first batch, ``sink`` runs on one
+    worker thread: it takes one buffer while this thread fills the other, so
+    at most two batches are held. A stream under one batch, or one of a
+    process on a single processor, runs ``sink`` on this thread.
 
     Raises:
         OSError: a file shrank while it was read, naming it and its expected
@@ -156,15 +229,15 @@ def stream_files(
     """
     batches = _Batches(sink)
     try:
-        for path, relative in files:
+        for path, name in files:
             with open(path, "rb", buffering=0) as handle:
                 status = os.fstat(handle.fileno())
-                batches.put(header(relative, status))
+                batches.put(header(name, bool(status.st_mode & stat.S_IXUSR), status.st_size))
                 read = batches.read(handle, status.st_size)
             if read < status.st_size:
                 raise OSError(
-                    f"{path} shrank while it was read: expected {status.st_size} bytes,"
-                    f" read {read}"
+                    f"{os.fsdecode(path)} shrank while it was read: expected {status.st_size}"
+                    f" bytes, read {read}"
                 )
             padding = -status.st_size % block
             if padding:
@@ -256,47 +329,48 @@ def _usable_processors() -> int:
     return os.cpu_count() or 1
 
 
-def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[str, str], ...]:
-    """Regular files under ``directory``, sorted by the bytes of the relative
-    path as the file system holds them (:func:`os.fsencode`): those git
-    tracks when ``tracked``, else all of them with VCS metadata excluded.
-    Symlinks are skipped, and so are submodules and tracked files deleted
-    from the working tree.
+def _list_files(directory: Path, *, tracked: bool) -> tuple[tuple[bytes, bytes], ...]:
+    """Regular files under ``directory``, each a (path, relative path) as
+    the bytes the file system or git gave, sorted by the relative path's
+    bytes: those git tracks when ``tracked``, else all of them with VCS
+    metadata excluded. Symlinks are skipped, and so are submodules and
+    tracked files deleted from the working tree.
 
     Raises:
         FileNotFoundError: ``tracked`` and git tracks no regular file under
             ``directory``, as for an untracked directory inside a working tree.
     """
-    collected: list[tuple[str, str]] = []
+    root = os.fsencode(directory)
+    collected: list[tuple[bytes, bytes]] = []
     if tracked:
         listed = subprocess.run(
-            ["git", "-C", directory, "ls-files", "-z"], capture_output=True, check=True
+            ["git", "-C", root, "ls-files", "-z"], capture_output=True, check=True
         ).stdout
         # An unmerged path is listed once per conflict stage.
-        for relative in dict.fromkeys(os.fsdecode(listed).split("\0")[:-1]):
-            path = os.path.join(directory, relative)
+        for name in dict.fromkeys(listed.split(b"\0")[:-1]):
+            path = os.path.join(root, name)
             try:
                 mode = os.lstat(path).st_mode
             except OSError:
                 continue
             if stat.S_ISREG(mode):
-                collected.append((path, relative))
+                collected.append((path, name))
         if not collected:
             raise FileNotFoundError(
                 f"git tracks no file under {directory}: commit its files, or publish"
                 " a copy outside the git working tree"
             )
     else:
-        pending = [(directory, "")]
+        pending = [(root, b"")]
         while pending:
             dirpath, prefix = pending.pop()
             with os.scandir(dirpath) as entries:
                 for entry in entries:
                     if entry.is_dir(follow_symlinks=False) and entry.name not in VCS_METADATA_DIRS:
-                        pending.append((entry.path, prefix + entry.name + "/"))
+                        pending.append((entry.path, prefix + entry.name + b"/"))
                     elif entry.is_file(follow_symlinks=False):
                         collected.append((entry.path, prefix + entry.name))
-    collected.sort(key=lambda item: item[1].encode(_FS_ENCODING, _FS_ERRORS))
+    collected.sort(key=lambda item: item[1])
     return tuple(collected)
 
 
@@ -362,7 +436,6 @@ def _git_status(directory: Path) -> tuple[str, bool] | None:
             ["git", "-C", str(directory), "status", "--porcelain=v2", "--branch",
              "--untracked-files=no"],
             capture_output=True,
-            text=True,
             env={**os.environ, "GIT_OPTIONAL_LOCKS": "0"},
         )
     except FileNotFoundError:
@@ -372,10 +445,11 @@ def _git_status(directory: Path) -> tuple[str, bool] | None:
         return None
     head = None
     dirty = False
+    # Bytes: a path git prints unquoted (``core.quotepath=false``) need not be UTF-8.
     for line in result.stdout.splitlines():
-        if line.startswith("# branch.oid "):
-            head = line.removeprefix("# branch.oid ")
-        elif not line.startswith("#"):
+        if line.startswith(b"# branch.oid "):
+            head = line.removeprefix(b"# branch.oid ").decode("ascii")
+        elif not line.startswith(b"#"):
             dirty = True
     if head is None or head == "(initial)":
         return None

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import Backend
+from conftest import Backend, unset_proxies
 from test_orchestrator import _count_calls, delete_after_create, shrink_after_fstat
 
 import geopub
@@ -423,6 +425,64 @@ class TestUnusableInputExitCodes:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: ") and str(victim) in line and "5000 bytes" in line
         assert backend.service.deposition_count() == 0
+
+
+class _FixedAnswer(BaseHTTPRequestHandler):
+    """Answers every request with the server's ``document`` as its body, and
+    its ``status``, or else the status the operation expects: 201 to a POST
+    and 200 to a GET."""
+
+    def _answer(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = json.dumps(self.server.document).encode()
+        self.send_response(self.server.status or (201 if self.command == "POST" else 200))
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class TestMalformedServiceDocument:
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        """A loopback server of :class:`_FixedAnswer`, stopped on teardown."""
+        unset_proxies(monkeypatch)
+        server = HTTPServer(("127.0.0.1", 0), _FixedAnswer)
+        server.document, server.status = {}, None
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+    @staticmethod
+    def _publish_software(runner, stub, source_tree, tmp_path, service: str):
+        profile = BackendProfile(service, f"http://127.0.0.1:{stub.server_port}", False)
+        env = cli_env(tmp_path, SimpleNamespace(profile=profile))
+        args = ["publish", "software", "--source", str(source_tree), "--service", service]
+        return runner.invoke(main, args, env=env)
+
+    @pytest.mark.parametrize("document", [{}, []], ids=["empty-object", "array"])
+    @pytest.mark.parametrize("service", ["figshare-like", "zenodo-like"])
+    def test_publish_software_exits_5(self, runner, stub, source_tree, tmp_path, document, service):
+        stub.document = document
+        result = self._publish_software(runner, stub, source_tree, tmp_path, service)
+        assert result.exit_code == 5, result.output
+        assert result.stdout == ""
+        operation = "search" if service == "figshare-like" else "create"
+        assert f"error: malformed {operation} response" in result.stderr
+
+    def test_refusal_with_an_array_body_exits_5(self, runner, stub, source_tree, tmp_path):
+        stub.document, stub.status = [], 400
+        result = self._publish_software(runner, stub, source_tree, tmp_path, "zenodo-like")
+        assert result.exit_code == 5, result.output
+        assert "error: service returned 400: []" in result.stderr
 
 
 def _fresh_python(code: str, *args: str, env: dict[str, str] | None = None):

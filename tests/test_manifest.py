@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import sys
 import threading
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import write_project
-from test_orchestrator import MB, _grid_project
+from test_orchestrator import MB, _count_calls, _grid_project
 
 from geopub import manifest, vcs_info
 from geopub.errors import MissingFileError
@@ -121,6 +122,13 @@ class TestBuildManifest:
             str(orkney.mesh),
             str(orkney.sidecars[0]),
         }
+
+    def test_each_file_is_stated_once(self, orkney, monkeypatch):
+        project = parse_project(orkney.project)
+        sources = collect_datasources(project)
+        stats = _count_calls(monkeypatch, os, "stat")
+        entries = build_manifest(project, sources, orkney.mesh).entries
+        assert len(stats) == len(entries) == 7
 
     def test_total_size_is_sum_of_entry_sizes(self, orkney):
         manifest = _orkney_manifest(orkney)

@@ -140,6 +140,14 @@ class TestPublishData:
         assert backend.service.request_count == 0
         assert backend.service.deposition_count() == 0
 
+    @pytest.mark.parametrize("name", ["地図.tif", "a b.tif", "100%.tif"])
+    def test_file_publishes_under_its_own_name(self, tmp_path, backend, name):
+        (tmp_path / name).write_bytes(b"II*\0raster")
+        project = write_project(tmp_path / "map.qgs", [("map", f"./{name}")])
+        result = publish_data(backend.profile, project)
+        record = backend.service.deposition_record(result.publication_id)
+        assert [f["name"] for f in record["files"]] == ["map.qgs", name]
+
 
 class TestPlanReachesServer:
     """The server records exactly the metadata of the manifest a flow
@@ -305,6 +313,13 @@ class TestUploadPool:
 
 
 class TestPublishSoftware:
+    def test_non_latin1_root_publishes_under_its_own_name(self, tmp_path, backend):
+        tree = tmp_path / "地図tool"
+        _write_tree(tree, [("main.py", b"print('map')\n", False)])
+        outcome = publish_software(backend.profile, tree)
+        record = backend.service.deposition_record(outcome.result.publication_id)
+        assert [f["name"] for f in record["files"]] == [f"地図tool-{outcome.version.id[:12]}.tar"]
+
     def test_idempotent_on_searchable_backend(self, source_tree, backend):
         first = publish_software(backend.profile, source_tree)
         second = publish_software(backend.profile, source_tree)
@@ -625,7 +640,7 @@ def _tarfile_archive(source_dir: Path) -> bytes:
     with tarfile.open(fileobj=buffer, mode="w", format=tarfile.GNU_FORMAT) as tar:
         for path, relative in version.files():
             stat = os.stat(path)
-            info = tarfile.TarInfo(name=f"{version.source_dir.name}/{relative}")
+            info = tarfile.TarInfo(name=f"{version.source_dir.name}/{os.fsdecode(relative)}")
             info.size = stat.st_size
             info.mtime = 0
             info.mode = 0o755 if stat.st_mode & 0o100 else 0o644
@@ -847,6 +862,27 @@ class TestSourceArchive:
         assert b"meshtool/caf\xe9.txt" in names
         assert archive.read_bytes() == _tarfile_archive(source_tree)
 
+    def test_dirty_tree_lists_a_non_utf8_name_as_its_raw_bytes(self, source_tree, tmp_path):
+        _write_tree(
+            source_tree, [(b"caf\xe9.txt", b"menu\n", False), ("run.sh", b"#!/bin/sh\n", True)]
+        )
+        _commit_all(source_tree)
+        (source_tree / "run.sh").write_bytes(b"#!/bin/sh\nexit 0\n")
+        version = detect_version(source_tree)
+        assert version.dirty is True
+        assert (os.fsencode(source_tree) + b"/caf\xe9.txt", b"caf\xe9.txt") in version.files()
+        assert version.id == _reference_tree_hash(source_tree)
+        archive = _archive(source_tree, tmp_path / "out")
+        assert archive.read_bytes() == _tarfile_archive(source_tree)
+
+    def test_only_the_owner_exec_bit_counts(self, tmp_path):
+        tree = tmp_path / "meshtool"
+        _write_tree(tree, [("owner.sh", b"a", False), ("others.sh", b"b", False)])
+        (tree / "owner.sh").chmod(0o700)
+        (tree / "others.sh").chmod(0o611)
+        assert detect_version(tree).id == _reference_tree_hash(tree)
+        assert _archive(tree, tmp_path / "out").read_bytes() == _tarfile_archive(tree)
+
     def test_file_shrinking_while_archived_raises_naming_it(
         self, source_tree, tmp_path, monkeypatch
     ):
@@ -999,7 +1035,7 @@ class TestArchivePipeline:
             archives.append(_FullDisk(handle, error))
             return archives[-1]
 
-        monkeypatch.setattr(orchestrator, "open", open_on_full_disk, raising=False)
+        monkeypatch.setattr(vcs_info, "open", open_on_full_disk, raising=False)
         with pytest.raises(OSError) as raised:
             build_source_archive(version, tmp_path / "out")
         assert raised.value is error
@@ -1181,7 +1217,7 @@ class TestCost:
         scans = _count_calls(monkeypatch, os, "scandir")
         outcome = publish_software(backend.profile, source_tree)
         assert outcome.reused is False
-        assert [str(path) for path, in scans].count(str(source_tree)) == 1
+        assert [path for path, in scans].count(os.fsencode(source_tree)) == 1
 
     def test_clean_commit_reuse_runs_one_process_and_never_walks(
         self, source_tree, backend, monkeypatch

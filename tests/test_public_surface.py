@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import geopub
-from geopub import manifest, repo_protocol
+from geopub import manifest, orchestrator, repo_protocol, vcs_info
 
 PUBLIC_NAMES = [
     "AuthError",
@@ -66,3 +66,11 @@ def test_star_import_resolves_every_name():
 
 def test_deposition_meta_is_one_class_under_both_paths():
     assert geopub.DepositionMeta is manifest.DepositionMeta is repo_protocol.DepositionMeta
+
+
+def test_archive_writer_is_one_function_under_every_path():
+    assert (
+        geopub.build_source_archive
+        is orchestrator.build_source_archive
+        is vcs_info.build_source_archive
+    )

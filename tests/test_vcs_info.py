@@ -98,6 +98,17 @@ class TestDetectVersion:
         assert after.id == _reference_tree_hash(git_repo)
         assert after.id != before.id
 
+    def test_edited_non_utf8_name_is_dirty_when_git_prints_it_raw(self, git_repo):
+        path = git_repo / os.fsdecode(b"caf\xe9.txt")
+        path.write_bytes(b"menu\n")
+        _git(git_repo, "add", ".")
+        _git(git_repo, "commit", "-q", "-m", "menu")
+        _git(git_repo, "config", "core.quotepath", "false")
+        path.write_bytes(b"menu of the day\n")
+        version = detect_version(git_repo)
+        assert version.dirty is True
+        assert version.id == _reference_tree_hash(git_repo)
+
     def test_untracked_file_keeps_tree_clean(self, git_repo):
         (git_repo / "scratch.txt").write_text("notes\n")
         assert detect_version(git_repo).dirty is False
@@ -306,10 +317,10 @@ class TestMultiBatchStream:
         files = [_fill_to(2 * BATCH, "a.bin")]
         _write_files(tmp_path, files)
         sizes = []
-        listing = [(str(tmp_path / relative), relative) for relative, _ in files]
+        listing = [(os.fsencode(tmp_path / name), os.fsencode(name)) for name, _ in files]
         length = stream_files(
             listing,
-            lambda relative, status: _id_header(relative, status.st_size),
+            lambda name, executable, size: _id_header(name, size),
             lambda data: sizes.append(len(data)),
         )
         assert length == 2 * BATCH
